@@ -1,30 +1,63 @@
-//! Ablations called out in DESIGN.md: splitting on/off is implicit in the architecture
-//! (the dispatcher always receives split sequents), so the measurable ablations are the
-//! prover order, hint filtering, and the two dispatcher scaling mechanisms — the
-//! work-stealing parallel dispatch and the canonical-form result cache (§5.2, §5.3).
+//! Ablations of the integrated reasoner (recorded in EXPERIMENTS.md; the design is in
+//! docs/ARCHITECTURE.md): splitting on/off is implicit in the architecture (the
+//! dispatcher always receives split sequents), so the measurable ablations are the
+//! prover order, hint filtering, per-sequent routing, the fuel budgets, and the two
+//! dispatcher scaling mechanisms — the work-stealing parallel dispatch and the
+//! canonical-form result cache (§5.2, §5.3).
 use criterion::{criterion_group, criterion_main, Criterion};
-use jahob::{run_suite, suite, verify_task, VerifyOptions};
+use jahob::batch::fold_method_results;
+use jahob::{suite, verify_task_with, DispatcherConfig, MethodResult, Verifier};
+use jahob_frontend::MethodTask;
 use jahob_provers::{Dispatcher, LemmaLibrary, ObligationBatch, ProverId};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Options with the given thread count and cache switch (ignoring env overrides, so
 /// the ablation axes stay fixed no matter how the bench process is invoked). Routing
 /// is pinned **off** here: these ablations measure the fixed global order and the
 /// other scaling knobs; the routing axis has its own `ablation/route_*` benches.
-fn options(threads: usize, cache: bool) -> VerifyOptions {
+fn options(threads: usize, cache: bool) -> DispatcherConfig {
     let mode = if cache {
         jahob::CacheMode::Memory
     } else {
         jahob::CacheMode::Off
     };
-    VerifyOptions {
-        dispatcher: jahob::DispatcherConfig::builder()
-            .threads(threads)
-            .cache(mode)
-            .route(false)
-            .build(),
-        ..VerifyOptions::default()
+    DispatcherConfig::builder()
+        .threads(threads)
+        .cache(mode)
+        .route(false)
+        .build()
+}
+
+/// Verifies one method with a fresh dispatcher (and hence a fresh result cache).
+fn verify_method(task: &MethodTask, config: &DispatcherConfig) -> MethodResult {
+    verify_task_with(
+        &Dispatcher::with_config(config.clone()),
+        task,
+        &LemmaLibrary::new(),
+    )
+}
+
+/// [`verify_method`] with every `by` hint cleared from the method's obligations, so
+/// each cascade runs on the full sequent only: the hint-filtering ablation.
+fn verify_method_without_hints(task: &MethodTask, config: &DispatcherConfig) -> MethodResult {
+    let method = task.qualified_name();
+    let mut obligations = task.obligations();
+    for obligation in &mut obligations {
+        obligation.hints.clear();
     }
+    let plan = (method.clone(), obligations.len());
+    let mut batch = ObligationBatch::new();
+    batch.push_method(
+        "",
+        &method,
+        Arc::new(task.prover_context(&LemmaLibrary::new())),
+        obligations,
+    );
+    let report = Dispatcher::with_config(config.clone()).prove_all(&batch);
+    fold_method_results(&report, "", std::slice::from_ref(&plan))
+        .pop()
+        .expect("one method in, one result out")
 }
 
 fn ablations(c: &mut Criterion) {
@@ -36,10 +69,10 @@ fn ablations(c: &mut Criterion) {
         .expect("task");
 
     c.bench_function("ablation/order_cheap_first", |b| {
-        b.iter(|| verify_task(task, &options(1, false)))
+        b.iter(|| verify_method(task, &options(1, false)))
     });
     let mut expensive_first = options(1, false);
-    expensive_first.dispatcher.order = vec![
+    expensive_first.order = vec![
         ProverId::Fol,
         ProverId::Bapa,
         ProverId::Mona,
@@ -48,12 +81,10 @@ fn ablations(c: &mut Criterion) {
         ProverId::Interactive,
     ];
     c.bench_function("ablation/order_expensive_first", |b| {
-        b.iter(|| verify_task(task, &expensive_first))
+        b.iter(|| verify_method(task, &expensive_first))
     });
-    let mut no_hints = options(1, false);
-    no_hints.dispatcher.use_hints = false;
     c.bench_function("ablation/no_hint_filtering", |b| {
-        b.iter(|| verify_task(task, &no_hints))
+        b.iter(|| verify_method_without_hints(task, &options(1, false)))
     });
 
     // The routing axis: the same method (and the whole suite below) with the
@@ -62,9 +93,9 @@ fn ablations(c: &mut Criterion) {
     // above — `options()` pins routing off, so a separate route_off bench would
     // measure the identical configuration twice.
     let mut routed = options(1, false);
-    routed.dispatcher.route = true;
+    routed.route = true;
     c.bench_function("ablation/route_on", |b| {
-        b.iter(|| verify_task(task, &routed))
+        b.iter(|| verify_method(task, &routed))
     });
     for (name, cache, route) in [
         ("ablation/suite_route_on", false, true),
@@ -72,30 +103,34 @@ fn ablations(c: &mut Criterion) {
         ("ablation/suite_route_on_cache", true, true),
     ] {
         let mut opts = options(1, cache);
-        opts.dispatcher.route = route;
-        c.bench_function(name, |b| b.iter(|| run_suite(&opts)));
+        opts.route = route;
+        c.bench_function(name, |b| {
+            b.iter(|| Verifier::with_config(opts.clone()).verify_suite())
+        });
     }
     // The fuel-budget axis: the routed suite with budgets forced off measures what
     // the measured cost model and the MONA/FOL fuel buy over plain static routing
     // (`suite_route_on` above runs with the budgets baseline, i.e. on).
     let mut unbudgeted = options(1, false);
-    unbudgeted.dispatcher.route = true;
-    unbudgeted.dispatcher.budgets = false;
+    unbudgeted.route = true;
+    unbudgeted.budgets = false;
     c.bench_function("ablation/suite_budgets_off", |b| {
-        b.iter(|| run_suite(&unbudgeted))
+        b.iter(|| Verifier::with_config(unbudgeted.clone()).verify_suite())
     });
 
     // The scaling ablations run the whole Figure 15 suite: the cache only pays off when
     // obligations recur across methods, and load balance only matters when obligation
-    // costs are skewed across a real batch. Each iteration builds a fresh dispatcher
-    // (inside run_suite), so cache-on measures a cold cache filled during the run.
+    // costs are skewed across a real batch. Each iteration builds a fresh verifier
+    // (and dispatcher), so cache-on measures a cold cache filled during the run.
     for (name, threads, cache) in [
         ("ablation/suite_seq_nocache", 1, false),
         ("ablation/suite_seq_cache", 1, true),
         ("ablation/suite_4threads_nocache", 4, false),
         ("ablation/suite_4threads_cache", 4, true),
     ] {
-        c.bench_function(name, |b| b.iter(|| run_suite(&options(threads, cache))));
+        c.bench_function(name, |b| {
+            b.iter(|| Verifier::with_config(options(threads, cache)).verify_suite())
+        });
     }
 
     // The suite hands the dispatcher only a handful of obligations per method, which is
@@ -120,7 +155,7 @@ fn ablations(c: &mut Criterion) {
     ] {
         c.bench_function(name, |b| {
             b.iter(|| {
-                let dispatcher = Dispatcher::with_config(options(threads, cache).dispatcher);
+                let dispatcher = Dispatcher::with_config(options(threads, cache));
                 dispatcher.prove_all(&batch)
             })
         });

@@ -1,24 +1,21 @@
 //! Figure 15: per-data-structure verification statistics (sequents proved per prover and
 //! verification times) for the whole suite of §7, plus the result-cache summary.
 use criterion::{criterion_group, criterion_main, Criterion};
-use jahob::{render_figure15, run_suite, suite, verify_program, VerifyOptions};
+use jahob::{render_figure15, suite, DispatcherConfig, Verifier};
 use std::time::Duration;
 
 /// Options with fixed dispatcher knobs (immune to env overrides so the recorded
 /// numbers always measure what their bench id claims).
-fn options(threads: usize, cache: bool) -> VerifyOptions {
+fn options(threads: usize, cache: bool) -> DispatcherConfig {
     let mode = if cache {
         jahob::CacheMode::Memory
     } else {
         jahob::CacheMode::Off
     };
-    VerifyOptions {
-        dispatcher: jahob::DispatcherConfig::builder()
-            .threads(threads)
-            .cache(mode)
-            .build(),
-        ..VerifyOptions::default()
-    }
+    DispatcherConfig::builder()
+        .threads(threads)
+        .cache(mode)
+        .build()
 }
 
 fn fig15(c: &mut Criterion) {
@@ -34,7 +31,7 @@ fn fig15(c: &mut Criterion) {
         }
         let id = format!("fig15/{}", entry.name.replace(' ', "_"));
         c.bench_function(&id, |b| {
-            b.iter(|| verify_program(&entry.program, &options(1, false)))
+            b.iter(|| Verifier::with_config(options(1, false)).verify(&entry.program))
         });
     }
     // The dispatcher scaling knobs over the whole suite: threads=1 vs 4, cache on/off.
@@ -44,12 +41,14 @@ fn fig15(c: &mut Criterion) {
         ("fig15/suite_threads4_cache_off", 4, false),
         ("fig15/suite_threads4_cache_on", 4, true),
     ] {
-        c.bench_function(id, |b| b.iter(|| run_suite(&options(threads, cache))));
+        c.bench_function(id, |b| {
+            b.iter(|| Verifier::with_config(options(threads, cache)).verify_suite())
+        });
     }
     // Emit the full Figure 15-style table (with the cache summary footer) once, and
     // record the suite-level counters in BENCH_results.json: proved/total sequents,
     // result-cache hits/misses and failure-memo skips.
-    let rows = run_suite(&options(1, true));
+    let rows = Verifier::with_config(options(1, true)).verify_suite();
     println!("{}", render_figure15(&rows));
     let proved: usize = rows.iter().map(|r| r.proved_sequents).sum();
     let total: usize = rows.iter().map(|r| r.total_sequents).sum();

@@ -7,29 +7,28 @@
 //! `fig7_sized_list_addNew` / `fig7_sized_list_addNew_noroute` is recorded in
 //! `BENCH_results.json` for regression tracking.
 use criterion::{criterion_group, criterion_main, Criterion};
-use jahob::{suite, verify_program, VerifyOptions};
+use jahob::{suite, DispatcherConfig, Verifier};
 use std::time::Duration;
 
 /// Options with fixed dispatcher knobs (immune to env overrides so the recorded
 /// numbers always measure what their bench id claims).
-fn options(route: bool) -> VerifyOptions {
-    VerifyOptions {
-        dispatcher: jahob::DispatcherConfig::builder().route(route).build(),
-        ..VerifyOptions::default()
-    }
+fn options(route: bool) -> DispatcherConfig {
+    DispatcherConfig::builder().route(route).build()
 }
 
 fn fig7(c: &mut Criterion) {
     let program = suite::sized_list();
     c.bench_function("fig7_sized_list_addNew", |b| {
-        b.iter(|| verify_program(&program, &options(true)))
+        b.iter(|| Verifier::with_config(options(true)).verify(&program))
     });
     c.bench_function("fig7_sized_list_addNew_noroute", |b| {
-        b.iter(|| verify_program(&program, &options(false)))
+        b.iter(|| Verifier::with_config(options(false)).verify(&program))
     });
     // Print the Figure 7-style report once so the bench output can be compared with the
     // paper's console transcript, and record the proved/total counts.
-    let results = verify_program(&program, &options(true));
+    let results = Verifier::with_config(options(true))
+        .verify(&program)
+        .methods;
     let mut proved = 0usize;
     let mut total = 0usize;
     for r in results {

@@ -8,23 +8,20 @@
 //! headline gauge in `BENCH_results.json`; the recorded `suite_warm_disk_hits` /
 //! `suite_warm_total` metrics pin how much of the suite the store actually covered.
 use criterion::{criterion_group, criterion_main, Criterion};
-use jahob::{run_suite, CacheMode, Verifier, VerifyOptions};
+use jahob::{CacheMode, DispatcherConfig, Verifier};
 use std::path::Path;
 use std::time::Duration;
 
 /// Options with fixed dispatcher knobs (immune to env overrides so the bench ids mean
 /// what they claim): sequential, routed, persistent cache on `dir`, no implicit flush
 /// (measurement iterations must stay read-only).
-fn options(dir: &Path) -> VerifyOptions {
-    VerifyOptions {
-        dispatcher: jahob::DispatcherConfig::builder()
-            .cache(CacheMode::Persistent {
-                dir: dir.to_path_buf(),
-                flush: false,
-            })
-            .build(),
-        ..VerifyOptions::default()
-    }
+fn options(dir: &Path) -> DispatcherConfig {
+    DispatcherConfig::builder()
+        .cache(CacheMode::Persistent {
+            dir: dir.to_path_buf(),
+            flush: false,
+        })
+        .build()
 }
 
 fn suite_warm_start(c: &mut Criterion) {
@@ -36,22 +33,22 @@ fn suite_warm_start(c: &mut Criterion) {
     // Cold: the store directory stays empty (flush is off), so every iteration is a
     // full cold-start proof of the suite.
     c.bench_function("suite_warm_start/cold", |b| {
-        b.iter(|| run_suite(&options(&cold_dir)))
+        b.iter(|| Verifier::with_config(options(&cold_dir)).verify_suite())
     });
 
     // Seed the warm directory with one flushed cold run.
-    let seeder = Verifier::from_options(&options(&warm_dir));
+    let seeder = Verifier::with_config(options(&warm_dir));
     seeder.verify_suite();
     let entries = seeder.flush().expect("seeding flush");
     criterion::record_metric("suite_warm_store_entries", entries as f64);
 
     // Warm: every iteration warm-loads the seeded store and replays the suite.
     c.bench_function("suite_warm_start/warm", |b| {
-        b.iter(|| run_suite(&options(&warm_dir)))
+        b.iter(|| Verifier::with_config(options(&warm_dir)).verify_suite())
     });
 
     // Record how much of the suite the warm path actually answered from disk.
-    let rows = run_suite(&options(&warm_dir));
+    let rows = Verifier::with_config(options(&warm_dir)).verify_suite();
     let total: usize = rows.iter().map(|r| r.total_sequents).sum();
     let disk: usize = rows.iter().map(|r| r.cache_disk_hits).sum();
     criterion::record_metric("suite_warm_total", total as f64);

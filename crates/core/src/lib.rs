@@ -9,12 +9,12 @@
 //! # Example
 //!
 //! ```
-//! use jahob::{verify_program, VerifyOptions};
+//! use jahob::Verifier;
 //!
 //! // Verify the sized list of Figure 6 (the Figure 7 scenario).
 //! let program = jahob::suite::sized_list();
-//! let results = verify_program(&program, &VerifyOptions::default());
-//! let add = results.iter().find(|r| r.method == "List.addNew").expect("addNew verified");
+//! let report = Verifier::new().verify(&program);
+//! let add = report.method("List.addNew").expect("addNew verified");
 //! assert!(add.report.proved_sequents > 0);
 //! ```
 
@@ -40,10 +40,11 @@ pub use jahob_provers::{
 };
 pub use verifier::{ProgramReport, Verifier};
 
-/// Options for a verification run.
+/// Options for a verification run: a dispatcher configuration plus the lemma library
+/// that §6.6 lemmas and `by lemma` hints resolve against ([`Verifier::from_options`]).
 #[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
-    /// Dispatcher configuration (prover order, threads, hint usage).
+    /// Dispatcher configuration (prover order, threads, caching, routing).
     pub dispatcher: DispatcherConfig,
     /// Interactively proven lemmas to load (§6.6).
     pub lemmas: LemmaLibrary,
@@ -68,17 +69,6 @@ impl MethodResult {
     pub fn render(&self) -> String {
         self.report.render(&self.method)
     }
-}
-
-/// Verifies one method task with a fresh dispatcher (and hence a fresh result cache).
-/// To share one cache across methods, build a [`Dispatcher`] once and use
-/// [`verify_task_with`].
-pub fn verify_task(task: &MethodTask, options: &VerifyOptions) -> MethodResult {
-    verify_task_with(
-        &Dispatcher::with_config(options.dispatcher.clone()),
-        task,
-        &options.lemmas,
-    )
 }
 
 /// Verifies one method task with an existing dispatcher: a single-method batch through
@@ -106,16 +96,6 @@ pub fn verify_task_with(
     fold_method_results(&report, "", std::slice::from_ref(&plan))
         .pop()
         .expect("one method in, one result out")
-}
-
-/// Verifies every method of a program. One dispatcher — and therefore one result
-/// cache — is shared across all methods.
-pub fn verify_program(program: &Program, options: &VerifyOptions) -> Vec<MethodResult> {
-    verify_program_with(
-        &Dispatcher::with_config(options.dispatcher.clone()),
-        program,
-        &options.lemmas,
-    )
 }
 
 /// Verifies every method of a program with an existing dispatcher (sharing its cache):
@@ -160,57 +140,34 @@ pub struct SuiteRow {
 }
 
 impl SuiteRow {
-    /// Aggregates the per-method reports of one data structure into a row.
+    /// Aggregates the per-method reports of one data structure into a row, through
+    /// the same [`VerificationReport::merge`] fold every other aggregate uses.
     fn from_results(name: &str, results: &[MethodResult]) -> SuiteRow {
-        let mut row = SuiteRow {
-            name: name.to_string(),
-            per_prover: BTreeMap::new(),
-            total_sequents: 0,
-            proved_sequents: 0,
-            cache_hits: 0,
-            cache_disk_hits: 0,
-            cache_misses: 0,
-            rescue_retries: 0,
-            total_time: Duration::ZERO,
-        };
+        let mut total = VerificationReport::default();
         for r in results {
-            for (id, s) in &r.report.per_prover {
-                let e = row.per_prover.entry(*id).or_default();
-                e.proved += s.proved;
-                e.attempted += s.attempted;
-                e.cache_hits += s.cache_hits;
-                e.skipped += s.skipped;
-                e.budget_aborts += s.budget_aborts;
-                e.crashes += s.crashes;
-                e.deadline_aborts += s.deadline_aborts;
-                e.time += s.time;
-            }
-            row.total_sequents += r.report.total_sequents;
-            row.proved_sequents += r.report.proved_sequents;
-            row.cache_hits += r.report.cache_hits;
-            row.cache_disk_hits += r.report.cache_disk_hits;
-            row.cache_misses += r.report.cache_misses;
-            row.rescue_retries += r.report.rescue_retries;
-            row.total_time += r.report.total_time;
+            total.merge(&r.report);
         }
-        row
+        SuiteRow {
+            name: name.to_string(),
+            per_prover: total.per_prover,
+            total_sequents: total.total_sequents,
+            proved_sequents: total.proved_sequents,
+            cache_hits: total.cache_hits,
+            cache_disk_hits: total.cache_disk_hits,
+            cache_misses: total.cache_misses,
+            rescue_retries: total.rescue_retries,
+            total_time: total.total_time,
+        }
     }
 }
 
-/// Runs the whole suite of §7 and returns one row per data structure (Figure 15).
-/// The entire suite is assembled into **one** tagged batch and proved with a single
-/// [`Dispatcher::prove_all`] call, so the work-stealing queue balances the full,
-/// skewed obligation pool of all structures at once while the tags keep per-structure
-/// (and per-method) attribution intact. The shared result cache answers invariant
-/// obligations recurring across structures and methods after their first proof.
-pub fn run_suite(options: &VerifyOptions) -> Vec<SuiteRow> {
-    run_suite_with(
-        &Dispatcher::with_config(options.dispatcher.clone()),
-        &options.lemmas,
-    )
-}
-
-/// Runs the whole suite through an existing dispatcher (one batch, one `prove_all`).
+/// Runs the whole suite of §7 through an existing dispatcher and returns one row per
+/// data structure (Figure 15). The entire suite is assembled into **one** tagged
+/// batch and proved with a single [`Dispatcher::prove_all`] call, so the
+/// work-stealing queue balances the full, skewed obligation pool of all structures at
+/// once while the tags keep per-structure (and per-method) attribution intact. The
+/// shared result cache answers invariant obligations recurring across structures and
+/// methods after their first proof. [`Verifier::verify_suite`] is the facade over it.
 pub fn run_suite_with(dispatcher: &Dispatcher, lemmas: &LemmaLibrary) -> Vec<SuiteRow> {
     let entries = suite::full_suite();
     let mut batch = ObligationBatch::new();
@@ -234,10 +191,7 @@ pub fn run_suite_with(dispatcher: &Dispatcher, lemmas: &LemmaLibrary) -> Vec<Sui
 /// the number behind the Figure 15 footer, the `suite_failure_skips` bench metric and
 /// the differential harness's memo assertions.
 pub fn suite_failure_skips(rows: &[SuiteRow]) -> usize {
-    rows.iter()
-        .flat_map(|r| r.per_prover.values())
-        .map(|s| s.skipped)
-        .sum()
+    suite_prover_totals(rows).skipped
 }
 
 /// Total prover attempts aborted on a fuel budget across `rows`, all provers summed —
@@ -245,10 +199,7 @@ pub fn suite_failure_skips(rows: &[SuiteRow]) -> usize {
 /// the `routing-efficiency` CI gauge (a healthy budgeted suite run aborts *some*
 /// hopeless attempts; zero means the budgets are not engaging).
 pub fn suite_budget_aborts(rows: &[SuiteRow]) -> usize {
-    rows.iter()
-        .flat_map(|r| r.per_prover.values())
-        .map(|s| s.budget_aborts)
-        .sum()
+    suite_prover_totals(rows).budget_aborts
 }
 
 /// Total sequents retried in the unbudgeted rescue pass across `rows` — the
@@ -263,20 +214,23 @@ pub fn suite_rescue_retries(rows: &[SuiteRow]) -> usize {
 /// gauge. Zero on every healthy run; nonzero only when a prover genuinely panicked
 /// or `JAHOB_FAULTS` injected one.
 pub fn suite_crashes(rows: &[SuiteRow]) -> usize {
-    rows.iter()
-        .flat_map(|r| r.per_prover.values())
-        .map(|s| s.crashes)
-        .sum()
+    suite_prover_totals(rows).crashes
 }
 
 /// Total prover attempts stopped at the configured wall-clock deadline across
 /// `rows` — the `suite_deadline_aborts` bench gauge. Zero unless
 /// `JAHOB_DEADLINE_MS` (or [`jahob_provers::DispatcherConfig::deadline_ms`]) is set.
 pub fn suite_deadline_aborts(rows: &[SuiteRow]) -> usize {
-    rows.iter()
-        .flat_map(|r| r.per_prover.values())
-        .map(|s| s.deadline_aborts)
-        .sum()
+    suite_prover_totals(rows).deadline_aborts
+}
+
+/// Every per-prover counter of `rows`, summed over all provers and structures.
+fn suite_prover_totals(rows: &[SuiteRow]) -> ProverStats {
+    let mut total = ProverStats::default();
+    for stats in rows.iter().flat_map(|r| r.per_prover.values()) {
+        total += *stats;
+    }
+    total
 }
 
 /// Renders suite rows as a Figure 15-style table. Each prover cell shows
@@ -383,7 +337,7 @@ mod tests {
         // The Figure 7 scenario: verifying List.addNew requires the syntactic prover plus
         // specialised reasoners (cardinality via BAPA, ground reasoning via SMT).
         let program = suite::sized_list();
-        let results = verify_program(&program, &VerifyOptions::default());
+        let results = Verifier::new().verify(&program).methods;
         let add = results
             .iter()
             .find(|r| r.method == "List.addNew")
@@ -412,7 +366,7 @@ mod tests {
         // reasoner automates the bulk of the obligations. EXPERIMENTS.md records the
         // exact proved/total ratios.
         let program = suite::singly_linked_list();
-        let results = verify_program(&program, &VerifyOptions::default());
+        let results = Verifier::new().verify(&program).methods;
         let total: usize = results.iter().map(|r| r.report.total_sequents).sum();
         let proved: usize = results.iter().map(|r| r.report.proved_sequents).sum();
         assert!(total >= 4);
@@ -435,7 +389,7 @@ mod tests {
         assert_eq!(
             dispatcher.batches_dispatched(),
             1,
-            "verify_program must issue exactly one prove_all call per program"
+            "verifying a program must issue exactly one prove_all call"
         );
         assert!(results.iter().any(|r| r.method == "List.addNew"));
     }
@@ -447,7 +401,7 @@ mod tests {
         assert_eq!(
             dispatcher.batches_dispatched(),
             1,
-            "run_suite must issue exactly one prove_all call per suite"
+            "a suite run must issue exactly one prove_all call"
         );
         assert_eq!(rows.len(), suite::full_suite().len());
         // Per-structure cache hit rates appear as a table column when caching is on.
@@ -460,17 +414,62 @@ mod tests {
     fn figure15_table_renders_all_rows() {
         // Use a subset-friendly rendering test on two structures to keep the unit test
         // fast; the full table is produced by the bench harness and examples.
-        let options = VerifyOptions::default();
+        let verifier = Verifier::new();
         let rows: Vec<SuiteRow> = suite::full_suite()
             .iter()
             .take(2)
             .map(|entry| {
-                let results = verify_program(&entry.program, &options);
-                SuiteRow::from_results(entry.name, &results)
+                SuiteRow::from_results(entry.name, &verifier.verify(&entry.program).methods)
             })
             .collect();
         let table = render_figure15(&rows);
         assert!(table.contains("Association List"));
         assert!(table.contains("Data Structure"));
+    }
+
+    #[test]
+    fn suite_row_counters_equal_the_merged_method_reports() {
+        // The row is the merge of its methods' reports, field for field: each
+        // per-prover counter summed over the methods, and every report-level counter
+        // likewise. Cache on, so the hit and skip columns carry nonzero values.
+        let verifier = Verifier::with_config(DispatcherConfig::builder().build());
+        let results = verifier.verify(&suite::sized_list()).methods;
+        assert!(results.len() > 1, "the row must aggregate several methods");
+        let row = SuiteRow::from_results("Sized List", &results);
+        let mut merged = VerificationReport::default();
+        for r in &results {
+            merged.merge(&r.report);
+        }
+        assert_eq!(row.per_prover, merged.per_prover);
+        for (id, stats) in &row.per_prover {
+            let sum = |field: fn(&ProverStats) -> usize| -> usize {
+                results
+                    .iter()
+                    .filter_map(|r| r.report.per_prover.get(id))
+                    .map(field)
+                    .sum()
+            };
+            assert_eq!(stats.proved, sum(|s| s.proved), "{id}");
+            assert_eq!(stats.attempted, sum(|s| s.attempted), "{id}");
+            assert_eq!(stats.cache_hits, sum(|s| s.cache_hits), "{id}");
+            assert_eq!(stats.skipped, sum(|s| s.skipped), "{id}");
+            assert_eq!(stats.budget_aborts, sum(|s| s.budget_aborts), "{id}");
+            assert_eq!(stats.crashes, sum(|s| s.crashes), "{id}");
+            assert_eq!(stats.deadline_aborts, sum(|s| s.deadline_aborts), "{id}");
+            let time: Duration = results
+                .iter()
+                .filter_map(|r| r.report.per_prover.get(id))
+                .map(|s| s.time)
+                .sum();
+            assert_eq!(stats.time, time, "{id}");
+        }
+        assert_eq!(row.total_sequents, merged.total_sequents);
+        assert_eq!(row.proved_sequents, merged.proved_sequents);
+        assert_eq!(row.cache_hits, merged.cache_hits);
+        assert_eq!(row.cache_disk_hits, merged.cache_disk_hits);
+        assert_eq!(row.cache_misses, merged.cache_misses);
+        assert_eq!(row.rescue_retries, merged.rescue_retries);
+        assert_eq!(row.total_time, merged.total_time);
+        assert!(row.cache_hits > 0, "{row:?}");
     }
 }

@@ -2,17 +2,16 @@
 //!
 //! Re-exports the [`Verifier`] facade (parse → batch → prove → report in one call)
 //! together with the handful of types an embedding actually touches — the typed
-//! configuration surface ([`DispatcherConfig`], [`CacheMode`]), the driver entry
-//! points ([`verify_program`], [`run_suite`], [`render_figure15`]) and their result
-//! types. Everything else (batching internals, individual prover crates) stays
-//! behind the full module paths.
+//! configuration surface ([`DispatcherConfig`], [`CacheMode`], and [`VerifyOptions`]
+//! for a lemma library), the Figure 15 renderer and suite gauges, and their result
+//! types. Everything else (batching internals, individual prover crates) stays behind
+//! the full module paths.
 
 pub use crate::suite;
 pub use crate::verifier::{ProgramReport, Verifier};
 pub use crate::{
-    render_figure15, run_suite, suite_budget_aborts, suite_crashes, suite_deadline_aborts,
-    suite_failure_skips, suite_rescue_retries, verify_program, MethodResult, SuiteRow,
-    VerifyOptions,
+    render_figure15, suite_budget_aborts, suite_crashes, suite_deadline_aborts,
+    suite_failure_skips, suite_rescue_retries, MethodResult, SuiteRow, VerifyOptions,
 };
 pub use jahob_provers::{
     CacheMode, CacheStats, DispatcherConfig, DispatcherConfigBuilder, FaultSpec, ProverId,

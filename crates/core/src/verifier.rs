@@ -109,7 +109,9 @@ impl Verifier {
         }
     }
 
-    /// A verifier from full [`VerifyOptions`] (configuration plus lemma library).
+    /// A verifier from full [`VerifyOptions`] (configuration plus lemma library): the
+    /// route for interactively proven lemmas (§6.6) and the `by lemma` hints that
+    /// resolve against them.
     pub fn from_options(options: &VerifyOptions) -> Self {
         Verifier {
             dispatcher: Dispatcher::with_config(options.dispatcher.clone()),

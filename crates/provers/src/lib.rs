@@ -25,9 +25,8 @@
 //! Three scaling mechanisms sit in front of the provers:
 //!
 //! * **work-stealing dispatch** — with [`DispatcherConfig::threads`] > 1, workers pull
-//!   individual obligations (in batches of [`DispatcherConfig::granularity`]) from one
-//!   shared atomic queue, so skewed obligation costs no longer leave threads idle the
-//!   way a contiguous-chunk split does;
+//!   individual obligations from one shared atomic queue, so skewed obligation costs
+//!   no longer leave threads idle the way a contiguous-chunk split does;
 //! * **result caching** — with [`DispatcherConfig::cache`] enabled, every obligation is
 //!   keyed by the canonical form of its definition-inlined sequent ([`SequentKey`]) and
 //!   looked up in a sharded in-memory cache before any prover runs ([`cache`]); the
@@ -52,15 +51,19 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod config;
 pub mod costmodel;
 pub mod faults;
 pub mod inst;
+mod report;
 pub mod router;
 pub mod store;
 
 pub use cache::{CacheStats, SequentCache, SequentKey};
+pub use config::{CacheMode, DispatcherConfig, DispatcherConfigBuilder};
 pub use costmodel::{cost_model_path, CostModel, CostStat, COST_MODEL_VERSION};
 pub use faults::FaultSpec;
+pub use report::{BatchReport, ProverStats, TaggedReport, VerificationReport};
 pub use store::{store_path, STORE_VERSION};
 
 use cache::{CacheKey, CachedOutcome, FailureKey};
@@ -300,652 +303,34 @@ impl ObligationBatch {
     }
 }
 
-/// How the dispatcher caches prover verdicts. Subsumes the old `cache: bool` knob:
-/// `Off`/`Memory` are the former `false`/`true`, and `Persistent` extends `Memory`
-/// with the on-disk proof store ([`store`]) so verdicts survive the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No caching: every obligation runs the full prover cascade.
-    Off,
-    /// The in-memory sharded cache (the former `cache: true`), dying with the process.
-    Memory,
-    /// The in-memory cache, warm-started from — and merge-written back to — the
-    /// versioned proof store in `dir` ([`store_path`]). A missing store is a silent
-    /// cold start; a corrupt or version-mismatched one is a warned cold start.
-    Persistent {
-        /// Directory holding the store file (created on first flush).
-        dir: PathBuf,
-        /// Merge-write the store when the last dispatcher sharing the cache is
-        /// dropped. With `false`, only explicit [`Dispatcher::flush_store`] calls
-        /// write (what benches use to keep measurement iterations read-only).
-        flush: bool,
-    },
-}
-
-impl CacheMode {
-    /// `true` unless caching is [`CacheMode::Off`] (the old `cache: bool` view).
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, CacheMode::Off)
-    }
-
-    /// The persistent store directory, when the mode is [`CacheMode::Persistent`].
-    pub fn persistent_dir(&self) -> Option<&std::path::Path> {
-        match self {
-            CacheMode::Persistent { dir, .. } => Some(dir),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for CacheMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CacheMode::Off => write!(f, "off"),
-            CacheMode::Memory => write!(f, "memory"),
-            CacheMode::Persistent { dir, flush } => write!(
-                f,
-                "persistent({}{})",
-                dir.display(),
-                if *flush { "" } else { ", no flush on drop" }
-            ),
-        }
-    }
-}
-
-/// Configuration of the dispatcher. Build one with [`DispatcherConfig::builder`]
-/// (explicit, typed knobs; no environment) or take [`DispatcherConfig::default`]
-/// (baseline plus `JAHOB_*` environment overrides).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatcherConfig {
-    /// The provers to try, in order (§5.2: "the user lists the provers starting from the
-    /// ones that are most likely to succeed or fail quickly").
-    pub order: Vec<ProverId>,
-    /// Spread independent obligations over this many worker threads (1 = sequential).
-    /// Workers pull obligations from one shared queue, so an expensive obligation never
-    /// strands the rest of a pre-assigned chunk behind it.
-    pub threads: usize,
-    /// Apply `by` hints (assumption selection) when present.
-    pub use_hints: bool,
-    /// Whether (and how durably) to cache verdicts: consult the canonical-form-keyed
-    /// result cache before running provers, optionally backed by the persistent
-    /// on-disk proof store ([`CacheMode::Persistent`]).
-    pub cache: CacheMode,
-    /// How many obligations a worker claims from the shared queue per grab. `1` gives
-    /// the best load balance; larger batches amortise queue traffic when obligations
-    /// are uniformly tiny. Values are clamped to at least 1.
-    pub granularity: usize,
-    /// Choose each obligation's prover order from its sequent's syntactic features
-    /// ([`router::route`]) instead of always using the global `order`. Routing is a
-    /// permutation of `order` — demoted provers still run as a fallback — so it changes
-    /// attempt counts and attribution, never which sequents are proved.
-    pub route: bool,
-    /// Measured-cost routing plus fuel-budgeted attempts. With `true` (the baseline),
-    /// the dispatcher times every attempt into its [`CostModel`] (committed between
-    /// batches; routed orders are frozen within one), routes by expected
-    /// cost-to-discharge ([`router::route_with_model`] — identical to the static
-    /// order until cells calibrate), and gives the expensive provers (MONA, FOL)
-    /// feature-dependent fuel so hopeless attempts abort early. Any obligation left
-    /// unproved after a cascade with aborts is retried in an **unbudgeted rescue
-    /// pass**, so budgets can change attempt counts and times, never verdicts — the
-    /// budgets differential test pins this. `false` restores the pre-cost-model
-    /// behaviour exactly (static routing, unlimited attempts, no timing collection).
-    pub budgets: bool,
-    /// Wall-clock deadline per prover attempt, in milliseconds (`JAHOB_DEADLINE_MS`).
-    /// Checked cooperatively at the provers' existing fuel hooks (MONA's work
-    /// charges, FOL's given-clause loop, SMT's DPLL steps), so an attempt that
-    /// passes its deadline stops within one hook interval and is counted as a
-    /// [`ProverStats::deadline_aborts`] — an *unknown* verdict that is never
-    /// failure-memoized and never cached. The syntactic, BAPA and interactive
-    /// provers have no long-running loops and are exempt. `None` (the default)
-    /// disables the check; unlike fuel budgets, a deadline deliberately trades
-    /// completeness for a predictable time bound (deadline-stopped attempts are
-    /// *not* rescued).
-    pub deadline_ms: Option<u64>,
-    /// Deterministic fault injection ([`FaultSpec`], `JAHOB_FAULTS`) for the
-    /// torture harness: panics/delays into prover attempts, I/O errors and torn
-    /// writes into the proof-store and cost-model persistence. The default (empty)
-    /// spec injects nothing and is pinned byte-identical to a dispatcher without a
-    /// fault plane. Faults are not part of the cache fingerprint because a cascade
-    /// that observed a crash or deadline stop is never cached at all.
-    pub faults: FaultSpec,
-}
-
-impl Default for DispatcherConfig {
-    /// The baseline configuration (sequential, hints on, in-memory cache, routing on,
-    /// granularity 1), with [`DispatcherConfig::with_env_overrides`] applied on top so
-    /// a whole test or bench run can be switched to the parallel, uncached, unrouted
-    /// or persistent-store path from the environment.
-    fn default() -> Self {
-        DispatcherConfig::builder().build().with_env_overrides()
-    }
-}
-
-/// Builder for [`DispatcherConfig`]: typed, named knobs instead of the old
-/// bool-and-positional surface. Starts from the pinned baseline (sequential, hints
-/// on, [`CacheMode::Memory`], granularity 1, routing on) and applies **no**
-/// environment overrides, so configurations built here mean exactly what the call
-/// site says — benches and differential tests depend on that. Call
-/// [`DispatcherConfigBuilder::env_overrides`] last to opt back into `JAHOB_*`.
-///
-/// ```
-/// use jahob_provers::{CacheMode, DispatcherConfig};
-///
-/// let config = DispatcherConfig::builder()
-///     .threads(4)
-///     .cache(CacheMode::Persistent { dir: "/tmp/jahob-store".into(), flush: true })
-///     .build();
-/// assert_eq!(config.threads, 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DispatcherConfigBuilder {
-    config: DispatcherConfig,
-}
-
-impl DispatcherConfigBuilder {
-    /// Sets the global prover order (§5.2).
-    pub fn order(mut self, order: Vec<ProverId>) -> Self {
-        self.config.order = order;
-        self
-    }
-
-    /// Sets the worker thread count (clamped to at least 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
-        self
-    }
-
-    /// Enables or disables `by` hint application.
-    pub fn hints(mut self, use_hints: bool) -> Self {
-        self.config.use_hints = use_hints;
-        self
-    }
-
-    /// Sets the cache mode ([`CacheMode::Off`] / [`CacheMode::Memory`] /
-    /// [`CacheMode::Persistent`]).
-    pub fn cache(mut self, mode: CacheMode) -> Self {
-        self.config.cache = mode;
-        self
-    }
-
-    /// Sets the work-queue claim granularity (clamped to at least 1).
-    pub fn granularity(mut self, granularity: usize) -> Self {
-        self.config.granularity = granularity.max(1);
-        self
-    }
-
-    /// Enables or disables feature-directed per-sequent routing.
-    pub fn route(mut self, route: bool) -> Self {
-        self.config.route = route;
-        self
-    }
-
-    /// Enables or disables the measured cost model and fuel-budgeted attempts (with
-    /// the completeness-preserving rescue pass). See [`DispatcherConfig::budgets`].
-    pub fn budgets(mut self, budgets: bool) -> Self {
-        self.config.budgets = budgets;
-        self
-    }
-
-    /// Sets the per-attempt wall-clock deadline in milliseconds (see
-    /// [`DispatcherConfig::deadline_ms`]). The builder default is no deadline.
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.config.deadline_ms = Some(ms);
-        self
-    }
-
-    /// Arms a deterministic fault-injection spec (see [`DispatcherConfig::faults`]
-    /// and [`faults`]). The builder default injects nothing.
-    pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.config.faults = spec;
-        self
-    }
-
-    /// Applies the `JAHOB_*` environment overrides **on top of** everything set so
-    /// far (see [`DispatcherConfig::with_env_overrides`]). Call it last: knobs set
-    /// after it win over the environment again.
-    pub fn env_overrides(mut self) -> Self {
-        self.config = self.config.with_env_overrides();
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> DispatcherConfig {
-        self.config
-    }
-}
-
-impl DispatcherConfig {
-    /// Starts a [`DispatcherConfigBuilder`] at the pinned baseline (sequential,
-    /// hints on, in-memory cache, granularity 1, routing on; no environment
-    /// overrides).
-    pub fn builder() -> DispatcherConfigBuilder {
-        DispatcherConfigBuilder {
-            config: DispatcherConfig {
-                order: ProverId::default_order(),
-                threads: 1,
-                use_hints: true,
-                cache: CacheMode::Memory,
-                granularity: 1,
-                route: true,
-                budgets: true,
-                deadline_ms: None,
-                faults: FaultSpec::default(),
-            },
-        }
-    }
-
-    /// The old positional configuration surface, kept as a thin shim over
-    /// [`DispatcherConfig::builder`] so the long-standing differential harness keeps
-    /// its historical meaning: `cache = true` is [`CacheMode::Memory`], `false` is
-    /// [`CacheMode::Off`], and no environment overrides are applied.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use DispatcherConfig::builder() with a typed CacheMode instead"
-    )]
-    pub fn pinned(threads: usize, cache: bool, granularity: usize) -> Self {
-        DispatcherConfig::builder()
-            .threads(threads)
-            .cache(if cache {
-                CacheMode::Memory
-            } else {
-                CacheMode::Off
-            })
-            .granularity(granularity)
-            .build()
-    }
-
-    /// Applies the `JAHOB_THREADS`, `JAHOB_CACHE`, `JAHOB_CACHE_DIR`,
-    /// `JAHOB_GRANULARITY`, `JAHOB_ROUTE` and `JAHOB_BUDGETS` environment variables
-    /// on top of `self` and returns the result. Unset variables leave the
-    /// corresponding field untouched; a set-but-invalid value also leaves the field
-    /// untouched but prints a one-line warning to stderr naming the variable and the
-    /// rejected value (a silently ignored typo like `JAHOB_CACHE=ture` used to make
-    /// a whole ablation run measure the wrong thing). `JAHOB_CACHE`, `JAHOB_ROUTE`
-    /// and `JAHOB_BUDGETS` accept `1`/`on`/`true`/`yes` and `0`/`off`/`false`/`no`
-    /// (case-insensitive).
-    ///
-    /// `JAHOB_CACHE_DIR=<dir>` upgrades the cache to
-    /// [`CacheMode::Persistent`]` { dir, flush: true }` — the on-disk proof store
-    /// loaded at dispatcher construction and merge-written on drop. An explicit
-    /// `JAHOB_CACHE=off` still wins (it is the established ablation switch), while
-    /// `JAHOB_CACHE=on` keeps a configured persistent mode persistent.
-    ///
-    /// This is what lets CI exercise the work-stealing, cached, unrouted and
-    /// warm-start paths on every push: the test job re-runs the whole suite under
-    /// `JAHOB_THREADS=4 JAHOB_CACHE=on`, once under `JAHOB_ROUTE=off` (guarding the
-    /// global fallback cascade), and the warm-start job twice against one
-    /// `JAHOB_CACHE_DIR`.
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(n) = env_knob("JAHOB_THREADS", parse_count_knob) {
-            self.threads = n;
-        }
-        if let Some(dir) = env_knob("JAHOB_CACHE_DIR", parse_dir_knob) {
-            self.cache = CacheMode::Persistent { dir, flush: true };
-        }
-        if let Some(cache) = env_knob("JAHOB_CACHE", parse_switch_knob) {
-            self.cache = match (cache, self.cache) {
-                (false, _) => CacheMode::Off,
-                (true, CacheMode::Off) => CacheMode::Memory,
-                (true, mode) => mode,
-            };
-        }
-        if let Some(n) = env_knob("JAHOB_GRANULARITY", parse_count_knob) {
-            self.granularity = n;
-        }
-        if let Some(route) = env_knob("JAHOB_ROUTE", parse_switch_knob) {
-            self.route = route;
-        }
-        if let Some(budgets) = env_knob("JAHOB_BUDGETS", parse_switch_knob) {
-            self.budgets = budgets;
-        }
-        if let Some(ms) = env_knob("JAHOB_DEADLINE_MS", parse_millis_knob) {
-            self.deadline_ms = Some(ms);
-        }
-        if let Some(spec) = env_knob("JAHOB_FAULTS", parse_faults_knob) {
-            self.faults = spec;
-        }
-        self
-    }
-
-    /// A short stable description of the fields that can change a prover verdict or
-    /// the recorded attempt accounting (order, hint usage, routing), mixed into every
-    /// cache key so entries written under one configuration are never served to
-    /// another.
-    fn fingerprint(&self) -> String {
-        let order: Vec<&str> = self.order.iter().map(|p| p.display_name()).collect();
-        let mut fingerprint = format!(
-            "order={}|hints={}|route={}|budgets={}",
-            order.join(","),
-            self.use_hints,
-            self.route,
-            self.budgets
-        );
-        // Only appended when a deadline is armed, so stores written before the
-        // deadline knob existed keep warm-starting deadline-free runs unchanged.
-        // (A deadline can suppress proofs, so deadline verdicts must never be
-        // served to deadline-free configurations, and vice versa.)
-        if let Some(ms) = self.deadline_ms {
-            fingerprint.push_str(&format!("|deadline={ms}"));
-        }
-        fingerprint
-    }
-}
-
-/// Reads one `JAHOB_*` knob from the environment through `parse`: `None` when unset,
-/// the parsed value when valid, and `None` **plus a stderr warning** when set to a
-/// value the parser rejects (the warning text is produced by the parser so unit tests
-/// can pin it without touching the process environment).
-fn env_knob<T>(name: &str, parse: fn(&str, &str) -> Result<T, String>) -> Option<T> {
-    match std::env::var(name) {
-        Ok(value) => match parse(name, &value) {
-            Ok(parsed) => Some(parsed),
-            Err(warning) => {
-                eprintln!("{warning}");
-                None
-            }
-        },
-        Err(_) => None,
-    }
-}
-
-/// Parses a positive-count knob (`JAHOB_THREADS`, `JAHOB_GRANULARITY`). Counts are
-/// clamped to at least 1; a non-numeric value is rejected with a warning naming the
-/// variable and the value.
-fn parse_count_knob(name: &str, value: &str) -> Result<usize, String> {
-    value
-        .trim()
-        .parse::<usize>()
-        .map(|n| n.max(1))
-        .map_err(|_| {
-            format!(
-                "warning: ignoring {name}={value:?}: expected a non-negative integer; \
-             keeping the default"
-            )
-        })
-}
-
-/// Parses an on/off switch knob (`JAHOB_CACHE`, `JAHOB_ROUTE`): `1`/`on`/`true`/`yes`
-/// and `0`/`off`/`false`/`no`, case-insensitive. Anything else is rejected with a
-/// warning naming the variable and the value.
-fn parse_switch_knob(name: &str, value: &str) -> Result<bool, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Ok(true),
-        "0" | "off" | "false" | "no" => Ok(false),
-        _ => Err(format!(
-            "warning: ignoring {name}={value:?}: expected on|off|true|false|yes|no|1|0; \
-             keeping the default"
-        )),
-    }
-}
-
-/// Parses a milliseconds knob (`JAHOB_DEADLINE_MS`): any non-negative integer.
-/// `0` is accepted as the degenerate always-expired deadline (every fuel-hooked
-/// attempt stops at its first cooperative check — useful for torture tests).
-fn parse_millis_knob(name: &str, value: &str) -> Result<u64, String> {
-    value.trim().parse::<u64>().map_err(|_| {
-        format!(
-            "warning: ignoring {name}={value:?}: expected a number of milliseconds; \
-             keeping the default"
-        )
-    })
-}
-
-/// Parses the fault-injection knob (`JAHOB_FAULTS`) through [`FaultSpec::parse`],
-/// wrapping its entry-level diagnostics into the standard knob warning. An empty
-/// value parses as the empty (no-fault) spec.
-fn parse_faults_knob(name: &str, value: &str) -> Result<FaultSpec, String> {
-    FaultSpec::parse(value)
-        .map_err(|e| format!("warning: ignoring {name}={value:?}: {e}; keeping the default"))
-}
-
-/// Parses a directory-path knob (`JAHOB_CACHE_DIR`): any non-empty value (after
-/// trimming) is accepted as a path; an empty value is rejected with a warning naming
-/// the variable (an empty dir would silently resolve to the current directory).
-fn parse_dir_knob(name: &str, value: &str) -> Result<PathBuf, String> {
-    let trimmed = value.trim();
-    if trimmed.is_empty() {
-        Err(format!(
-            "warning: ignoring {name}={value:?}: expected a directory path; \
-             keeping the default"
-        ))
-    } else {
-        Ok(PathBuf::from(trimmed))
-    }
-}
-
-/// Statistics for one prover within a verification run (one row cell of Figure 15).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProverStats {
-    /// Number of sequents this prover proved (including cache hits credited to it).
-    pub proved: usize,
-    /// Number of sequents it attempted (including failures and cache hits).
-    pub attempted: usize,
-    /// Of `proved`, how many were answered from the result cache rather than by
-    /// actually re-running this prover.
-    pub cache_hits: usize,
-    /// Attempts the cascade *avoided* because the cache's negative side already knew
-    /// this prover fails on the canonicalized sequent. Not counted in `attempted` —
-    /// the prover never ran.
-    pub skipped: usize,
-    /// Of `attempted`, how many ran out of fuel ([`DispatcherConfig::budgets`]) and
-    /// were aborted rather than allowed to fail. Aborted attempts never enter the
-    /// failure memo — the verdict is unknown, not negative.
-    pub budget_aborts: usize,
-    /// Of `attempted`, how many panicked and were contained by the cascade's
-    /// `catch_unwind` — the prover misbehaved, the dispatch survived. Crashed
-    /// attempts are never failure-memoized (the verdict is unknown, not negative)
-    /// and a cascade containing one is never cached.
-    pub crashes: usize,
-    /// Of `attempted`, how many were stopped at the wall-clock deadline
-    /// ([`DispatcherConfig::deadline_ms`]) — also unknown verdicts, never memoized,
-    /// never cached, and (unlike fuel aborts) deliberately not rescued.
-    pub deadline_aborts: usize,
-    /// Total time spent in this prover.
-    pub time: Duration,
-}
-
-/// The outcome of running the dispatcher on a set of obligations.
-#[derive(Debug, Clone, Default)]
-pub struct VerificationReport {
-    /// Per-prover statistics.
-    pub per_prover: BTreeMap<ProverId, ProverStats>,
-    /// Total number of sequents (obligations).
-    pub total_sequents: usize,
-    /// Number of sequents proved by some prover.
-    pub proved_sequents: usize,
-    /// Descriptions of the obligations no prover could discharge, in obligation order
-    /// (the order is deterministic even under parallel dispatch: per-obligation results
-    /// are merged by obligation index, not by thread completion order).
-    pub unproved: Vec<String>,
-    /// Obligations answered from the result cache during this run.
-    pub cache_hits: usize,
-    /// Of `cache_hits`, how many were answered by entries warm-loaded from the
-    /// persistent proof store rather than proved earlier in this process. Always 0
-    /// unless the cache mode is [`CacheMode::Persistent`].
-    pub cache_disk_hits: usize,
-    /// Obligations that fell through the cache to the provers during this run. Both
-    /// counters stay 0 when caching is disabled.
-    pub cache_misses: usize,
-    /// Sequents whose budgeted cascades all failed with at least one fuel abort and
-    /// that were therefore retried in the unbudgeted rescue pass (one per sequent,
-    /// whatever the rescue verdict). Always 0 with budgets off.
-    pub rescue_retries: usize,
-    /// Total wall-clock time of the run.
-    pub total_time: Duration,
-}
-
-impl VerificationReport {
-    /// `true` if every sequent was proved.
-    pub fn succeeded(&self) -> bool {
-        self.proved_sequents == self.total_sequents
-    }
-
-    /// Total prover attempts avoided by the failure memo across all provers.
-    pub fn failure_skips(&self) -> usize {
-        self.per_prover.values().map(|s| s.skipped).sum()
-    }
-
-    /// Total prover attempts aborted on a fuel budget across all provers.
-    pub fn budget_aborts(&self) -> usize {
-        self.per_prover.values().map(|s| s.budget_aborts).sum()
-    }
-
-    /// Total prover panics contained by the cascade across all provers.
-    pub fn crashes(&self) -> usize {
-        self.per_prover.values().map(|s| s.crashes).sum()
-    }
-
-    /// Total prover attempts stopped at the wall-clock deadline across all provers.
-    pub fn deadline_aborts(&self) -> usize {
-        self.per_prover.values().map(|s| s.deadline_aborts).sum()
-    }
-
-    /// Renders the report in the style of Figure 7 of the paper. When the result cache
-    /// was consulted (`cache_hits + cache_misses > 0`), a
-    /// `Result cache: H hits, M misses (R% hit rate).` line follows the sequent totals.
-    pub fn render(&self, task_name: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("$ jahob {task_name}\n"));
-        out.push_str("========================================================\n");
-        for (id, stats) in &self.per_prover {
-            if stats.proved == 0 && stats.attempted == 0 {
-                continue;
-            }
-            if *id == ProverId::Syntactic {
-                out.push_str(&format!(
-                    "Built-in checker proved {} sequents during splitting.\n",
-                    stats.proved
-                ));
-            } else {
-                out.push_str(&format!(
-                    "{} proved {} out of {} sequents. Total time : {:.1} s\n",
-                    id.display_name(),
-                    stats.proved,
-                    stats.attempted,
-                    stats.time.as_secs_f64()
-                ));
-            }
-        }
-        out.push_str("========================================================\n");
-        out.push_str(&format!(
-            "A total of {} sequents out of {} proved.\n",
-            self.proved_sequents, self.total_sequents
-        ));
-        if self.cache_hits + self.cache_misses > 0 {
-            let from_disk = if self.cache_disk_hits > 0 {
-                format!(" ({} from disk)", self.cache_disk_hits)
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "Result cache: {} hits{}, {} misses ({:.1}% hit rate).\n",
-                self.cache_hits,
-                from_disk,
-                self.cache_misses,
-                100.0 * self.cache_hits as f64 / (self.cache_hits + self.cache_misses) as f64
-            ));
-        }
-        if self.failure_skips() > 0 {
-            out.push_str(&format!(
-                "Failure memo: {} dead prover attempts skipped.\n",
-                self.failure_skips()
-            ));
-        }
-        if self.budget_aborts() > 0 || self.rescue_retries > 0 {
-            out.push_str(&format!(
-                "Fuel budgets: {} attempts aborted, {} sequents rescued unbudgeted.\n",
-                self.budget_aborts(),
-                self.rescue_retries
-            ));
-        }
-        if self.crashes() > 0 || self.deadline_aborts() > 0 {
-            out.push_str(&format!(
-                "Fault containment: {} prover crashes contained, {} attempts stopped at \
-                 the deadline.\n",
-                self.crashes(),
-                self.deadline_aborts()
-            ));
-        }
-        if self.succeeded() {
-            out.push_str(&format!("[{task_name}]\n0=== Verification SUCCEEDED.\n"));
-        } else {
-            out.push_str(&format!("[{task_name}]\n0=== Verification FAILED.\n"));
-            for d in &self.unproved {
-                out.push_str(&format!("  unproved: {d}\n"));
-            }
-        }
-        out
-    }
-
-    /// Merges another report into this one (used when aggregating methods or threads).
-    /// Merging is order-dependent only in `unproved`; the dispatcher always merges
-    /// per-obligation reports in obligation order so the result is deterministic.
-    pub fn merge(&mut self, other: &VerificationReport) {
-        for (id, s) in &other.per_prover {
-            let entry = self.per_prover.entry(*id).or_default();
-            entry.proved += s.proved;
-            entry.attempted += s.attempted;
-            entry.cache_hits += s.cache_hits;
-            entry.skipped += s.skipped;
-            entry.budget_aborts += s.budget_aborts;
-            entry.crashes += s.crashes;
-            entry.deadline_aborts += s.deadline_aborts;
-            entry.time += s.time;
-        }
-        self.total_sequents += other.total_sequents;
-        self.proved_sequents += other.proved_sequents;
-        self.unproved.extend(other.unproved.iter().cloned());
-        self.cache_hits += other.cache_hits;
-        self.cache_disk_hits += other.cache_disk_hits;
-        self.cache_misses += other.cache_misses;
-        self.rescue_retries += other.rescue_retries;
-        self.total_time += other.total_time;
-    }
-}
-
-/// The report of one obligation of a batch, paired with its provenance tag.
-#[derive(Debug, Clone)]
-pub struct TaggedReport {
-    /// Where the obligation came from.
-    pub tag: ObligationTag,
-    /// The single-obligation report (`total_sequents == 1`); its `total_time` is the
-    /// wall-clock time this obligation spent in [`Dispatcher::prove_one`].
-    pub report: VerificationReport,
-}
-
-/// The outcome of proving one [`ObligationBatch`]: per-obligation reports in batch
-/// order (so folding them per method reproduces the per-method `unproved` ordering
-/// exactly), plus the wall-clock time of the whole batch.
-#[derive(Debug, Clone, Default)]
-pub struct BatchReport {
-    /// One tagged report per obligation, in batch order.
-    pub per_obligation: Vec<TaggedReport>,
-    /// Wall-clock time of the whole `prove_all` call.
-    pub total_time: Duration,
-}
-
-impl BatchReport {
-    /// Merges every per-obligation report into one aggregate. The aggregate's
-    /// `total_time` is the batch wall clock, not the sum of per-obligation times (the
-    /// two differ under parallel dispatch).
-    pub fn aggregate(&self) -> VerificationReport {
-        let mut report = VerificationReport::default();
-        for tagged in &self.per_obligation {
-            report.merge(&tagged.report);
-        }
-        report.total_time = self.total_time;
-        report
-    }
-}
-
-/// The persistent-store attachment shared by a dispatcher and its clones: where to
-/// merge-write the proof store and the cost-model profile, and whether dropping the
-/// last sharer should do it implicitly.
+/// The persistent-store attachment of a dispatcher tree: where to merge-write the
+/// proof store and the cost-model profile, and whether dropping the last sharer
+/// should do it implicitly.
 #[derive(Debug)]
 struct StoreHandle {
     path: PathBuf,
     model_path: PathBuf,
     flush_on_drop: bool,
+}
+
+/// The state a dispatcher shares with all its clones, behind one `Arc`. Dropping the
+/// last clone drops this exactly once, which is where the implicit store flush
+/// happens — so two clones dropped at the same moment can never both skip it.
+#[derive(Debug)]
+struct Shared {
+    cache: SequentCache,
+    /// Measured attempt costs. Observations are buffered during a batch and committed
+    /// only between batches, so every routed order within one `prove_all` is computed
+    /// against a frozen model.
+    model: CostModel,
+    /// The armed fault plane (one deterministic operation count per dispatcher tree).
+    /// Empty config → no-op plane.
+    faults: FaultPlane,
+    batches: AtomicUsize,
+    /// Store/cost-model write attempts that had to be retried after a transient I/O
+    /// failure (see [`Dispatcher::store_retries`]).
+    store_retries: AtomicUsize,
+    store: Option<StoreHandle>,
 }
 
 /// The integrated-reasoning dispatcher.
@@ -957,21 +342,9 @@ struct StoreHandle {
 /// when the last sharing dispatcher is dropped (or on [`Dispatcher::flush_store`]).
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
-    /// Configuration (prover order, threads, caching, hint usage).
+    /// Configuration (prover order, threads, caching, routing, budgets).
     pub config: DispatcherConfig,
-    cache: Arc<SequentCache>,
-    batches: Arc<AtomicUsize>,
-    store: Option<Arc<StoreHandle>>,
-    /// Measured attempt costs, shared by clones like the cache. Observations are
-    /// buffered during a batch and committed only between batches, so every routed
-    /// order within one `prove_all` is computed against a frozen model.
-    model: Arc<CostModel>,
-    /// The armed fault plane (shared by clones so operation counting stays one
-    /// deterministic sequence per dispatcher tree). Empty config → no-op plane.
-    faults: Arc<FaultPlane>,
-    /// Store/cost-model write attempts that had to be retried after a transient
-    /// I/O failure (shared by clones; see [`Dispatcher::store_retries`]).
-    store_retries: Arc<AtomicUsize>,
+    shared: Arc<Shared>,
 }
 
 impl Default for Dispatcher {
@@ -993,7 +366,7 @@ impl Dispatcher {
     /// the cache to [`CacheMode::Memory`] — an unwritable cache dir must never turn
     /// into a panic at drop time or a silent loss of the in-memory cache.
     pub fn with_config(mut config: DispatcherConfig) -> Self {
-        let faults = Arc::new(FaultPlane::new(&config.faults));
+        let faults = FaultPlane::new(&config.faults);
         if let CacheMode::Persistent { dir, .. } = &config.cache {
             if let Err(e) = probe_store_dir(dir) {
                 eprintln!(
@@ -1004,29 +377,31 @@ impl Dispatcher {
                 config.cache = CacheMode::Memory;
             }
         }
-        let cache = Arc::new(SequentCache::new());
-        let model = Arc::new(CostModel::new());
+        let cache = SequentCache::new();
+        let model = CostModel::new();
         let store = if let CacheMode::Persistent { dir, flush } = &config.cache {
             let path = store_path(dir);
             cache.absorb(store::load_or_warn_with(&path, &faults));
             let model_path = costmodel::cost_model_path(dir);
             model.absorb(costmodel::load_or_warn_with(&model_path, &faults));
-            Some(Arc::new(StoreHandle {
+            Some(StoreHandle {
                 path,
                 model_path,
                 flush_on_drop: *flush,
-            }))
+            })
         } else {
             None
         };
         Dispatcher {
             config,
-            cache,
-            batches: Arc::new(AtomicUsize::new(0)),
-            store,
-            model,
-            faults,
-            store_retries: Arc::new(AtomicUsize::new(0)),
+            shared: Arc::new(Shared {
+                cache,
+                model,
+                faults,
+                batches: AtomicUsize::new(0),
+                store_retries: AtomicUsize::new(0),
+                store,
+            }),
         }
     }
 
@@ -1041,31 +416,51 @@ impl Dispatcher {
     /// backoff before the error is surfaced; [`Dispatcher::store_retries`] counts
     /// the retries.
     pub fn flush_store(&self) -> std::io::Result<usize> {
-        match &self.store {
-            Some(handle) => {
-                self.model.commit();
-                if !self.model.is_empty() {
-                    self.with_retry(|| {
-                        costmodel::merge_write_with(
-                            &handle.model_path,
-                            self.model.export(),
-                            &self.faults,
-                        )
-                    })?;
-                }
-                self.with_retry(|| {
-                    store::merge_write_with(&handle.path, self.cache.export(), &self.faults)
-                })
-            }
-            None => Ok(0),
-        }
+        self.shared.flush_store()
     }
 
     /// Number of store/cost-model write attempts that failed transiently and were
     /// retried (shared across clones). Zero unless the filesystem — or an injected
     /// `store:`/`costmodel:` fault — made a flush fail and a retry rescued it.
     pub fn store_retries(&self) -> usize {
-        self.store_retries.load(Ordering::Relaxed)
+        self.shared.store_retries.load(Ordering::Relaxed)
+    }
+
+    /// The implicit last-drop flush, without the `Drop` wrapper (see
+    /// [`Shared::drop_flush_warnings`]).
+    #[cfg(test)]
+    fn drop_flush_warnings(&self) -> Vec<String> {
+        self.shared.drop_flush_warnings()
+    }
+}
+
+impl Shared {
+    fn flush_store(&self) -> std::io::Result<usize> {
+        match &self.store {
+            Some(handle) => {
+                self.write_cost_model(handle)?;
+                self.write_proof_store(handle)
+            }
+            None => Ok(0),
+        }
+    }
+
+    /// Merge-writes the verdict cache into the proof store (retried), returning the
+    /// store's verdict-entry count.
+    fn write_proof_store(&self, handle: &StoreHandle) -> std::io::Result<usize> {
+        self.with_retry(|| store::merge_write_with(&handle.path, self.cache.export(), &self.faults))
+    }
+
+    /// Commits pending cost observations and merge-writes the profile (retried); an
+    /// empty model writes nothing.
+    fn write_cost_model(&self, handle: &StoreHandle) -> std::io::Result<()> {
+        self.model.commit();
+        if !self.model.is_empty() {
+            self.with_retry(|| {
+                costmodel::merge_write_with(&handle.model_path, self.model.export(), &self.faults)
+            })?;
+        }
+        Ok(())
     }
 
     /// Runs a store write up to three times, sleeping briefly between attempts.
@@ -1077,11 +472,10 @@ impl Dispatcher {
         loop {
             match op() {
                 Ok(v) => return Ok(v),
-                Err(e) if attempt < BACKOFF_MS.len() => {
+                Err(_) if attempt < BACKOFF_MS.len() => {
                     std::thread::sleep(Duration::from_millis(BACKOFF_MS[attempt]));
                     self.store_retries.fetch_add(1, Ordering::Relaxed);
                     attempt += 1;
-                    let _ = e;
                 }
                 Err(e) => return Err(e),
             }
@@ -1094,28 +488,17 @@ impl Dispatcher {
     fn drop_flush_warnings(&self) -> Vec<String> {
         let mut warnings = Vec::new();
         if let Some(handle) = &self.store {
-            if let Err(e) = self.with_retry(|| {
-                store::merge_write_with(&handle.path, self.cache.export(), &self.faults)
-            }) {
+            if let Err(e) = self.write_proof_store(handle) {
                 warnings.push(format!(
                     "warning: failed to flush proof store {}: {e}",
                     handle.path.display()
                 ));
             }
-            self.model.commit();
-            if !self.model.is_empty() {
-                if let Err(e) = self.with_retry(|| {
-                    costmodel::merge_write_with(
-                        &handle.model_path,
-                        self.model.export(),
-                        &self.faults,
-                    )
-                }) {
-                    warnings.push(format!(
-                        "warning: failed to flush cost model {}: {e}",
-                        handle.model_path.display()
-                    ));
-                }
+            if let Err(e) = self.write_cost_model(handle) {
+                warnings.push(format!(
+                    "warning: failed to flush cost model {}: {e}",
+                    handle.model_path.display()
+                ));
             }
         }
         warnings
@@ -1133,16 +516,14 @@ fn probe_store_dir(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::remove_file(&probe)
 }
 
-impl Drop for Dispatcher {
-    /// Flushes the persistent store when this is the last dispatcher sharing the
-    /// cache and the mode asked for it (`flush: true`). A failed implicit flush only
-    /// warns — dropping must not panic, even if the flush path itself panics; call
-    /// [`Dispatcher::flush_store`] explicitly to observe the error. (Two clones
-    /// dropped concurrently can in principle both see a sharer and skip; the
-    /// explicit call is the reliable path.)
+impl Drop for Shared {
+    /// Flushes the persistent store when the last dispatcher sharing it is dropped
+    /// and the mode asked for it (`flush: true`). A failed implicit flush only warns
+    /// — dropping must not panic, even if the flush path itself panics; call
+    /// [`Dispatcher::flush_store`] explicitly to observe the error.
     fn drop(&mut self) {
         if let Some(handle) = &self.store {
-            if handle.flush_on_drop && Arc::strong_count(&self.cache) == 1 {
+            if handle.flush_on_drop {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     self.drop_flush_warnings()
                 }));
@@ -1163,31 +544,23 @@ impl Drop for Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher with an explicit prover order.
-    pub fn with_order(order: Vec<ProverId>) -> Self {
-        Dispatcher::with_config(DispatcherConfig {
-            order,
-            ..DispatcherConfig::default()
-        })
-    }
-
     /// The result cache shared by this dispatcher and all its clones.
     pub fn cache(&self) -> &SequentCache {
-        &self.cache
+        &self.shared.cache
     }
 
     /// The measured cost model shared by this dispatcher and all its clones. Empty
     /// until a budgeted batch completes (or, under [`CacheMode::Persistent`], until
     /// a profile is warm-loaded from `cost-model.jahob` at construction).
     pub fn cost_model(&self) -> &CostModel {
-        &self.model
+        &self.shared.model
     }
 
     /// Number of `prove_all` calls this dispatcher (and its clones) has dispatched.
-    /// The driver's program-wide batching contract — `verify_program` issues exactly
-    /// one batch per program, `run_suite` one per suite — is asserted against this.
+    /// The program-wide batching contract — one batch per program verified
+    /// through `Verifier::verify`, one per suite — is asserted against this.
     pub fn batches_dispatched(&self) -> usize {
-        self.batches.load(Ordering::Relaxed)
+        self.shared.batches.load(Ordering::Relaxed)
     }
 
     /// Proves one tagged batch, returning a per-obligation report stream in batch
@@ -1196,21 +569,19 @@ impl Dispatcher {
     /// — the main reason the previous fixed-context signature could not batch across
     /// methods.
     ///
-    /// With `threads > 1`, workers claim entries from one shared atomic queue
-    /// ([`DispatcherConfig::granularity`] entries per claim) instead of being
-    /// pre-assigned contiguous chunks: a single expensive obligation then occupies one
+    /// With `threads > 1`, workers claim entries one at a time from one shared atomic
+    /// queue instead of being pre-assigned contiguous chunks: a single expensive obligation then occupies one
     /// worker while the others drain the rest of the queue. Per-obligation results are
     /// written into per-index slots and emitted in batch order, so the folded reports —
     /// including every method's `unproved` list — are identical for every thread count.
     pub fn prove_all(&self, batch: &ObligationBatch) -> BatchReport {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.shared.batches.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let entries = batch.entries();
         let threads = self.config.threads.max(1).min(entries.len().max(1));
         let reports: Vec<VerificationReport> = if threads <= 1 {
             entries.iter().map(|e| self.prove_entry(e)).collect()
         } else {
-            let granularity = self.config.granularity.max(1);
             let next = AtomicUsize::new(0);
             let slots: Vec<OnceLock<VerificationReport>> =
                 (0..entries.len()).map(|_| OnceLock::new()).collect();
@@ -1219,17 +590,13 @@ impl Dispatcher {
                     let next = &next;
                     let slots = &slots;
                     scope.spawn(move || loop {
-                        let lo = next.fetch_add(granularity, Ordering::Relaxed);
-                        if lo >= entries.len() {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(entry) = entries.get(i) else {
                             break;
-                        }
-                        let hi = (lo + granularity).min(entries.len());
-                        for (i, entry) in entries[lo..hi].iter().enumerate() {
-                            let one = self.prove_entry(entry);
-                            slots[lo + i]
-                                .set(one)
-                                .expect("obligation indices are claimed exactly once");
-                        }
+                        };
+                        slots[i]
+                            .set(self.prove_entry(entry))
+                            .expect("obligation indices are claimed exactly once");
                     });
                 }
             });
@@ -1244,7 +611,7 @@ impl Dispatcher {
         // The batch boundary is the only place observations become visible: routed
         // orders within the batch were all computed against the model as of its
         // start, so per-obligation results are independent of dispatch order.
-        self.model.commit();
+        self.shared.model.commit();
         BatchReport {
             per_obligation: entries
                 .iter()
@@ -1256,18 +623,6 @@ impl Dispatcher {
                 .collect(),
             total_time: start.elapsed(),
         }
-    }
-
-    /// Proves a uniform-context batch and aggregates the result — the per-method view
-    /// retained for callers that hold plain obligation slices (unit tests, microbenches,
-    /// obligation dumps).
-    pub fn prove_obligations(
-        &self,
-        obligations: &[ProofObligation],
-        context: &ProverContext,
-    ) -> VerificationReport {
-        self.prove_all(&ObligationBatch::uniform(obligations, context))
-            .aggregate()
     }
 
     /// Proves one batch entry, stamping the report with the obligation's wall time (so
@@ -1289,7 +644,7 @@ impl Dispatcher {
         context: &ProverContext,
     ) -> VerificationReport {
         let report = self.prove_one_inner(obligation, context);
-        self.model.commit();
+        self.shared.model.commit();
         report
     }
 
@@ -1306,8 +661,8 @@ impl Dispatcher {
         // what the provers try first; instantiation runs before inlining and keying,
         // so routing, `SequentKey` and the failure memo all see the instantiated
         // sequent (entries never alias across witnesses).
-        let use_hints = self.config.use_hints && !obligation.hints.is_empty();
-        let hinted = use_hints.then(|| {
+        let has_hints = !obligation.hints.is_empty();
+        let hinted = has_hints.then(|| {
             let selected = obligation.hinted_sequent_with_lemmas(context.lemmas.named_lemmas());
             inline_definitions(&apply_inst_hints(&selected, &obligation.hints))
         });
@@ -1315,7 +670,7 @@ impl Dispatcher {
         // advice the retry may discard, but an `inst` witness is information the
         // provers cannot rediscover — dropping it on retry would lose proofs whenever
         // a label hint misselected the assumptions.
-        let full = if use_hints {
+        let full = if has_hints {
             inline_definitions(&apply_inst_hints(&obligation.sequent, &obligation.hints))
         } else {
             inline_definitions(&obligation.sequent)
@@ -1340,11 +695,11 @@ impl Dispatcher {
             lemma_registered: context.lemmas.contains(obligation),
             config_fingerprint: self.config.fingerprint(),
         };
-        if let Some(outcome) = self.cache.lookup(&key) {
+        if let Some(outcome) = self.shared.cache.lookup(&key) {
             return self.report_from_cache(obligation, outcome);
         }
         let memo = FailureMemo {
-            cache: &self.cache,
+            cache: &self.shared.cache,
             full: FailureKey {
                 sequent: full_key,
                 var_classes: full_classes,
@@ -1389,7 +744,7 @@ impl Dispatcher {
             .filter(|(_, s)| s.budget_aborts > 0)
             .map(|(id, s)| (*id, s.budget_aborts))
             .collect();
-        self.cache.insert(
+        self.shared.cache.insert(
             key,
             CachedOutcome {
                 proved: report.proved_sequents == 1,
@@ -1448,7 +803,7 @@ impl Dispatcher {
     /// route; otherwise the global order itself.
     fn attempt_order(&self, features: &SequentFeatures) -> Vec<ProverId> {
         if self.config.route && self.config.budgets {
-            router::route_with_model(features, &self.config.order, &self.model)
+            router::route_with_model(features, &self.config.order, &self.shared.model)
         } else if self.config.route {
             router::route(features, &self.config.order)
         } else {
@@ -1629,7 +984,7 @@ impl Dispatcher {
                 .deadline_ms
                 .map(|ms| start + Duration::from_millis(ms));
             let outcome = contained_attempt(
-                &self.faults,
+                &self.shared.faults,
                 prover,
                 sequent,
                 obligation,
@@ -1639,7 +994,7 @@ impl Dispatcher {
             );
             let elapsed = start.elapsed();
             if self.config.budgets {
-                self.model.observe(
+                self.shared.model.observe(
                     prover,
                     bucket,
                     elapsed.as_nanos() as u64,
@@ -1960,6 +1315,9 @@ fn syntactic_check(sequent: &jahob_logic::Sequent, canonical: bool) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use config::{
+        parse_count_knob, parse_dir_knob, parse_faults_knob, parse_millis_knob, parse_switch_knob,
+    };
     use jahob_logic::{parse_form, Sequent};
     use jahob_vcgen::Hint;
 
@@ -2058,10 +1416,11 @@ mod tests {
             ob(&["p"], "q"),
         ];
         let context = ProverContext::default();
-        let sequential = Dispatcher::new().prove_obligations(&obs, &context);
+        let batch = ObligationBatch::uniform(&obs, &context);
+        let sequential = Dispatcher::new().prove_all(&batch).aggregate();
         let mut parallel = Dispatcher::new();
         parallel.config.threads = 3;
-        let par = parallel.prove_obligations(&obs, &context);
+        let par = parallel.prove_all(&batch).aggregate();
         assert_eq!(sequential.proved_sequents, 3);
         assert_eq!(par.proved_sequents, 3);
         assert_eq!(sequential.total_sequents, par.total_sequents);
@@ -2071,7 +1430,9 @@ mod tests {
     fn report_renders_figure7_style_output() {
         let obs = vec![ob(&["p"], "p"), ob(&["x = y"], "y = x")];
         let context = ProverContext::default();
-        let report = Dispatcher::new().prove_obligations(&obs, &context);
+        let report = Dispatcher::new()
+            .prove_all(&ObligationBatch::uniform(&obs, &context))
+            .aggregate();
         let text = report.render("List.add");
         assert!(text.contains("Built-in checker proved"));
         assert!(text.contains("A total of 2 sequents out of 2 proved."));
@@ -2203,8 +1564,13 @@ mod tests {
         routed_config.route = true;
         let mut unrouted_config = routed_config.clone();
         unrouted_config.route = false;
-        let routed = Dispatcher::with_config(routed_config).prove_obligations(&obs, &context);
-        let unrouted = Dispatcher::with_config(unrouted_config).prove_obligations(&obs, &context);
+        let batch = ObligationBatch::uniform(&obs, &context);
+        let routed = Dispatcher::with_config(routed_config)
+            .prove_all(&batch)
+            .aggregate();
+        let unrouted = Dispatcher::with_config(unrouted_config)
+            .prove_all(&batch)
+            .aggregate();
         assert_eq!(routed.proved_sequents, unrouted.proved_sequents);
         assert_eq!(routed.unproved, unrouted.unproved);
         // Routing spares MONA the cardinality sequent it cannot decide: fewer MONA
@@ -2260,14 +1626,6 @@ mod tests {
         assert!(warning.contains("JAHOB_THREADS"), "{warning}");
         assert!(warning.contains("\"many\""), "{warning}");
         assert!(warning.starts_with("warning:"), "{warning}");
-    }
-
-    #[test]
-    fn jahob_granularity_invalid_value_warns_and_keeps_the_default() {
-        assert_eq!(parse_count_knob("JAHOB_GRANULARITY", " 3 "), Ok(3));
-        let warning = parse_count_knob("JAHOB_GRANULARITY", "-2").unwrap_err();
-        assert!(warning.contains("JAHOB_GRANULARITY"), "{warning}");
-        assert!(warning.contains("\"-2\""), "{warning}");
     }
 
     #[test]
@@ -2417,7 +1775,7 @@ mod tests {
         let obs = vec![ob(&["x = y + 1", "0 <= y"], "1 <= x"), ob(&["p"], "q")];
         let before = dispatcher.cost_model().len();
         assert_eq!(before, 0, "cold model");
-        dispatcher.prove_obligations(&obs, &context);
+        dispatcher.prove_all(&ObligationBatch::uniform(&obs, &context));
         assert!(
             !dispatcher.cost_model().is_empty(),
             "the batch boundary must commit the observations"
@@ -2604,37 +1962,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_pinned_shim_matches_the_builder() {
-        // External callers may still hold `pinned`; its historical meaning must be
-        // exactly what the builder spells out (the differential harness itself now
-        // uses the builder directly).
-        assert_eq!(
-            DispatcherConfig::pinned(4, true, 2),
-            DispatcherConfig::builder()
-                .threads(4)
-                .cache(CacheMode::Memory)
-                .granularity(2)
-                .build()
-        );
-        assert_eq!(
-            DispatcherConfig::pinned(1, false, 1),
-            DispatcherConfig::builder().cache(CacheMode::Off).build()
-        );
-    }
-
-    #[test]
     fn builder_clamps_counts_and_keeps_explicit_knobs() {
         let config = DispatcherConfig::builder()
             .threads(0)
-            .granularity(0)
-            .hints(false)
             .route(false)
             .order(vec![ProverId::Smt])
             .build();
         assert_eq!(config.threads, 1, "clamped");
-        assert_eq!(config.granularity, 1, "clamped");
-        assert!(!config.use_hints);
         assert!(!config.route);
         assert_eq!(config.order, vec![ProverId::Smt]);
         assert_eq!(config.cache, CacheMode::Memory, "default mode");
@@ -2756,6 +2090,76 @@ mod tests {
             "the drop-flushed verdict replays"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrently_dropped_clones_flush_the_store_exactly_once() {
+        // Two clones released by one barrier drop at the same moment on two threads.
+        // Whichever drop comes last must flush: a per-clone "am I the last sharer?"
+        // check can see the other clone from both threads and skip it twice.
+        let dir = std::env::temp_dir().join(format!(
+            "jahob-provers-persist-{}-drop-race",
+            std::process::id()
+        ));
+        let persistent = |flush: bool| {
+            DispatcherConfig::builder()
+                .cache(CacheMode::Persistent {
+                    dir: dir.clone(),
+                    flush,
+                })
+                .build()
+        };
+        let o = ob(&["x = y"], "y = x");
+        let context = ProverContext::default();
+        for round in 0..1000 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let dispatcher = Dispatcher::with_config(persistent(true));
+            assert!(dispatcher.prove_one(&o, &context).succeeded());
+            let clone = dispatcher.clone();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for sharer in [dispatcher, clone] {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        drop(sharer);
+                    });
+                }
+            });
+            assert!(
+                store_path(&dir).exists(),
+                "round {round}: dropping both sharers must write the store"
+            );
+            let replay = Dispatcher::with_config(persistent(false)).prove_one(&o, &context);
+            assert_eq!(
+                replay.cache_disk_hits, 1,
+                "round {round}: the store must hold the proved entry"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn builder_fingerprint_matches_the_committed_seed_store() {
+        // Every cache key carries this string, and the committed seed store was
+        // written under it. A config change that alters it silently cold-starts
+        // every existing store, so it is pinned here verbatim.
+        const SEED: &str = "order=Syntactic,SMT (Z3/CVC3),MONA,BAPA,FOL (SPASS/E),\
+                            Interactive|hints=true|route=true|budgets=true";
+        assert_eq!(DispatcherConfig::builder().build().fingerprint(), SEED);
+        let fixture = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/proof-store.jahob"
+        ))
+        .expect("read the committed seed store");
+        let verdicts: Vec<&str> = fixture
+            .lines()
+            .filter_map(|line| line.strip_prefix("V\t"))
+            .collect();
+        assert!(!verdicts.is_empty(), "the seed store holds verdicts");
+        for record in verdicts {
+            assert_eq!(record.split('\t').next(), Some(SEED), "{record}");
+        }
     }
 
     #[test]

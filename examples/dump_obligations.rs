@@ -13,7 +13,7 @@
 //! ```
 
 use jahob_repro::jahob::suite;
-use jahob_repro::provers::{Dispatcher, LemmaLibrary};
+use jahob_repro::provers::{Dispatcher, LemmaLibrary, ObligationBatch};
 
 fn main() {
     let wanted = std::env::args()
@@ -55,7 +55,9 @@ fn main() {
         }
         // Also print the Figure 7 style summary for the method.
         let obligations = task.obligations();
-        let report = dispatcher.prove_obligations(&obligations, &context);
+        let report = dispatcher
+            .prove_all(&ObligationBatch::uniform(&obligations, &context))
+            .aggregate();
         println!("{}", report.render(&task.qualified_name()));
     }
 }

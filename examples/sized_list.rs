@@ -9,8 +9,7 @@ use jahob_repro::prelude::*;
 
 fn main() {
     let program = suite::sized_list();
-    let options = VerifyOptions::default();
-    for result in verify_program(&program, &options) {
+    for result in Verifier::new().verify(&program).methods {
         println!("{}", result.render());
         let provers_used: Vec<String> = result
             .report

@@ -6,17 +6,17 @@
 //! pure optimisations: they must not change *what* gets proved, only how fast. This
 //! harness runs the full §7 example suite under every combination of
 //! `{threads = 1, 2, 4, 8} x {cache on, off} x {route on, off} x {budgets on, off}`
-//! (plus a coarser work-queue granularity) and asserts that every configuration
-//! proves the identical set of sequents per method, and reports the `unproved`
-//! descriptions in the identical, deterministic order — and that the batched
-//! whole-program dispatch (`verify_program`: one tagged `prove_all` per program) is
+//! and asserts that every configuration proves the identical set of sequents per
+//! method, and reports the `unproved` descriptions in the identical, deterministic
+//! order — and that the batched whole-program dispatch (`Verifier::verify`: one
+//! tagged `prove_all` per program) is
 //! indistinguishable from the per-method seed path (one `prove_all` per method)
 //! across the whole matrix. Any future scaling PR that breaks either property fails
 //! here.
 
 use jahob_repro::frontend::program_tasks;
-use jahob_repro::jahob::{self, suite, VerifyOptions};
-use jahob_repro::provers::Dispatcher;
+use jahob_repro::jahob::{self, suite, DispatcherConfig, Verifier};
+use jahob_repro::provers::{Dispatcher, LemmaLibrary};
 
 /// The observable verdict of one method: counts plus the unproved descriptions in
 /// report order (NOT sorted — the dispatcher merges per-obligation results by
@@ -29,31 +29,37 @@ struct MethodVerdict {
     unproved: Vec<String>,
 }
 
-fn options(threads: usize, cache: bool, granularity: usize) -> VerifyOptions {
-    VerifyOptions {
-        dispatcher: jahob::DispatcherConfig::builder()
-            .threads(threads)
-            .cache(if cache {
-                jahob::CacheMode::Memory
-            } else {
-                jahob::CacheMode::Off
-            })
-            .granularity(granularity)
-            .build(),
-        ..VerifyOptions::default()
-    }
+fn options(threads: usize, cache: bool) -> DispatcherConfig {
+    DispatcherConfig::builder()
+        .threads(threads)
+        .cache(if cache {
+            jahob::CacheMode::Memory
+        } else {
+            jahob::CacheMode::Off
+        })
+        .build()
 }
 
-fn options_routed(threads: usize, cache: bool, route: bool) -> VerifyOptions {
-    let mut opts = options(threads, cache, 1);
-    opts.dispatcher.route = route;
+fn options_routed(threads: usize, cache: bool, route: bool) -> DispatcherConfig {
+    let mut opts = options(threads, cache);
+    opts.route = route;
     opts
 }
 
-fn options_budgeted(threads: usize, cache: bool, route: bool, budgets: bool) -> VerifyOptions {
+fn options_budgeted(threads: usize, cache: bool, route: bool, budgets: bool) -> DispatcherConfig {
     let mut opts = options_routed(threads, cache, route);
-    opts.dispatcher.budgets = budgets;
+    opts.budgets = budgets;
     opts
+}
+
+/// Verifies one program through a fresh verifier (and hence a fresh result cache).
+fn verify(
+    program: &jahob_repro::frontend::Program,
+    options: &DispatcherConfig,
+) -> Vec<jahob::MethodResult> {
+    Verifier::with_config(options.clone())
+        .verify(program)
+        .methods
 }
 
 fn verdict_of(structure: &str, result: &jahob::MethodResult) -> MethodVerdict {
@@ -65,13 +71,13 @@ fn verdict_of(structure: &str, result: &jahob::MethodResult) -> MethodVerdict {
     }
 }
 
-/// Runs the whole suite through the batched path (`verify_program` assembles one
+/// Runs the whole suite through the batched path (`Verifier::verify` assembles one
 /// tagged batch per program and proves it with a single `prove_all` call) and collects
 /// one verdict per method, in suite order.
-fn run_full_suite(options: &VerifyOptions) -> Vec<MethodVerdict> {
+fn run_full_suite(options: &DispatcherConfig) -> Vec<MethodVerdict> {
     let mut verdicts = Vec::new();
     for entry in suite::full_suite() {
-        for result in jahob::verify_program(&entry.program, options) {
+        for result in verify(&entry.program, options) {
             verdicts.push(verdict_of(entry.name, &result));
         }
     }
@@ -79,14 +85,14 @@ fn run_full_suite(options: &VerifyOptions) -> Vec<MethodVerdict> {
 }
 
 /// Runs the whole suite through the per-method seed path: one dispatcher (and cache)
-/// per program, one `prove_all` call per method — what `verify_program` did before
-/// program-wide batching.
-fn run_full_suite_per_method(options: &VerifyOptions) -> Vec<MethodVerdict> {
+/// per program, one `prove_all` call per method — what program verification did
+/// before program-wide batching.
+fn run_full_suite_per_method(options: &DispatcherConfig) -> Vec<MethodVerdict> {
     let mut verdicts = Vec::new();
     for entry in suite::full_suite() {
-        let dispatcher = Dispatcher::with_config(options.dispatcher.clone());
+        let dispatcher = Dispatcher::with_config(options.clone());
         for task in program_tasks(&entry.program) {
-            let result = jahob::verify_task_with(&dispatcher, &task, &options.lemmas);
+            let result = jahob::verify_task_with(&dispatcher, &task, &LemmaLibrary::new());
             verdicts.push(verdict_of(entry.name, &result));
         }
     }
@@ -95,7 +101,7 @@ fn run_full_suite_per_method(options: &VerifyOptions) -> Vec<MethodVerdict> {
 
 #[test]
 fn all_thread_and_cache_configurations_prove_the_same_sequents() {
-    let baseline = run_full_suite(&options(1, false, 1));
+    let baseline = run_full_suite(&options(1, false));
     assert!(
         baseline.iter().map(|v| v.total).sum::<usize>() > 0,
         "suite produced no obligations"
@@ -105,17 +111,13 @@ fn all_thread_and_cache_configurations_prove_the_same_sequents() {
             if threads == 1 && !cache {
                 continue;
             }
-            let run = run_full_suite(&options(threads, cache, 1));
+            let run = run_full_suite(&options(threads, cache));
             assert_eq!(
                 baseline, run,
                 "threads={threads} cache={cache} diverged from the sequential uncached baseline"
             );
         }
     }
-    // A coarser work-queue granularity only changes how obligations are batched onto
-    // workers, never the verdicts or their order.
-    let coarse = run_full_suite(&options(4, true, 3));
-    assert_eq!(baseline, coarse, "granularity=3 diverged from the baseline");
 }
 
 #[test]
@@ -126,7 +128,7 @@ fn batched_program_dispatch_matches_the_per_method_path_across_the_matrix() {
     // `unproved` ordering — as one `prove_all` call per method.
     for threads in [1usize, 2, 4, 8] {
         for cache in [false, true] {
-            let opts = options(threads, cache, 1);
+            let opts = options(threads, cache);
             let batched = run_full_suite(&opts);
             let per_method = run_full_suite_per_method(&opts);
             assert_eq!(
@@ -180,14 +182,11 @@ fn batched_and_per_method_reports_agree_exactly_when_single_threaded() {
         let mut batched: Strict = Vec::new();
         let mut per_method: Strict = Vec::new();
         for entry in suite::full_suite() {
-            batched.extend(strict(
-                jahob::verify_program(&entry.program, &opts),
-                entry.name,
-            ));
-            let dispatcher = Dispatcher::with_config(opts.dispatcher.clone());
+            batched.extend(strict(verify(&entry.program, &opts), entry.name));
+            let dispatcher = Dispatcher::with_config(opts.clone());
             let results: Vec<jahob::MethodResult> = program_tasks(&entry.program)
                 .iter()
-                .map(|t| jahob::verify_task_with(&dispatcher, t, &opts.lemmas))
+                .map(|t| jahob::verify_task_with(&dispatcher, t, &LemmaLibrary::new()))
                 .collect();
             per_method.extend(strict(results, entry.name));
         }
@@ -228,10 +227,10 @@ fn fuel_budgets_change_nothing_but_time() {
     // retried unbudgeted by the rescue pass, and completed budgeted attempts reach
     // the same verdicts as unbudgeted ones. Attempt counts and times are deliberately
     // not compared (aborting early and rescuing is the whole point).
-    let attribution = |options: &VerifyOptions| -> Vec<(String, Vec<(String, usize)>)> {
+    let attribution = |options: &DispatcherConfig| -> Vec<(String, Vec<(String, usize)>)> {
         let mut per_method = Vec::new();
         for entry in suite::full_suite() {
-            for result in jahob::verify_program(&entry.program, options) {
+            for result in verify(&entry.program, options) {
                 per_method.push((
                     format!("{}::{}", entry.name, result.method),
                     result
@@ -274,8 +273,8 @@ fn failure_memo_skips_dead_attempts_on_retried_suites() {
     // sharing one cache (the config fingerprint keys them apart). The second pass
     // misses the verdict cache but skips every prover attempt the first pass already
     // saw fail on the same canonical sequent; verdicts must stay identical.
-    let lemmas = jahob_repro::provers::LemmaLibrary::new();
-    let routed = Dispatcher::with_config(options_routed(1, true, true).dispatcher);
+    let lemmas = LemmaLibrary::new();
+    let routed = Dispatcher::with_config(options_routed(1, true, true));
     let first = jahob::run_suite_with(&routed, &lemmas);
     let mut unrouted = routed.clone();
     unrouted.config.route = false;
@@ -313,9 +312,9 @@ fn failure_memo_skips_dead_attempts_on_retried_suites() {
 #[test]
 fn parallel_unproved_ordering_is_deterministic_across_repeated_runs() {
     // Thread interleavings differ between runs; the index-ordered merge must hide that.
-    let first = run_full_suite(&options(8, false, 1));
+    let first = run_full_suite(&options(8, false));
     for _ in 0..2 {
-        assert_eq!(first, run_full_suite(&options(8, false, 1)));
+        assert_eq!(first, run_full_suite(&options(8, false)));
     }
 }
 
@@ -323,7 +322,7 @@ fn parallel_unproved_ordering_is_deterministic_across_repeated_runs() {
 fn suite_cache_hit_rate_is_positive() {
     // Class invariants are re-proved per path, so running the Figure 15 suite with a
     // shared cache must answer a measurable share of obligations from the cache.
-    let rows = jahob::run_suite(&options(1, true, 1));
+    let rows = Verifier::with_config(options(1, true)).verify_suite();
     let hits: usize = rows.iter().map(|r| r.cache_hits).sum();
     let misses: usize = rows.iter().map(|r| r.cache_misses).sum();
     assert!(hits > 0, "expected cache hits on the Figure 15 suite");
@@ -333,7 +332,7 @@ fn suite_cache_hit_rate_is_positive() {
         "every obligation is either a hit or a miss when caching is on"
     );
     // Cached and uncached suite runs prove the same number of sequents per structure.
-    let uncached = jahob::run_suite(&options(1, false, 1));
+    let uncached = Verifier::with_config(options(1, false)).verify_suite();
     let proved: Vec<(String, usize, usize)> = rows
         .iter()
         .map(|r| (r.name.clone(), r.proved_sequents, r.total_sequents))

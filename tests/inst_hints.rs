@@ -12,7 +12,7 @@
 //! could discharge anyway.
 
 use jahob_repro::frontend::{Program, Stmt};
-use jahob_repro::jahob::{self, suite, VerifyOptions};
+use jahob_repro::jahob::{self, suite, DispatcherConfig, MethodResult, Verifier};
 
 /// The two structures whose specs need instantiation hints, with the labels of the
 /// hinted assertions.
@@ -58,26 +58,28 @@ fn strip_inst_hints(program: &Program) -> Program {
     stripped
 }
 
-fn options(threads: usize, cache: bool, route: bool) -> VerifyOptions {
+fn options(threads: usize, cache: bool, route: bool) -> DispatcherConfig {
     let mode = if cache {
         jahob::CacheMode::Memory
     } else {
         jahob::CacheMode::Off
     };
-    VerifyOptions {
-        dispatcher: jahob::DispatcherConfig::builder()
-            .threads(threads)
-            .cache(mode)
-            .route(route)
-            .build(),
-        ..VerifyOptions::default()
-    }
+    DispatcherConfig::builder()
+        .threads(threads)
+        .cache(mode)
+        .route(route)
+        .build()
+}
+
+/// Verifies one program through a fresh verifier (and hence a fresh result cache).
+fn verify(program: &Program, options: DispatcherConfig) -> Vec<MethodResult> {
+    Verifier::with_config(options).verify(program).methods
 }
 
 #[test]
 fn inst_hinted_suite_methods_are_fully_proved() {
     for (name, program, _) in hinted_programs() {
-        for result in jahob::verify_program(&program, &options(1, true, true)) {
+        for result in verify(&program, options(1, true, true)) {
             assert!(
                 result.verified(),
                 "{name}::{} with inst hints: {:?}",
@@ -93,7 +95,7 @@ fn stripping_the_inst_hint_loses_exactly_the_hinted_obligations() {
     for (name, program, label) in hinted_programs() {
         let stripped = strip_inst_hints(&program);
         assert_ne!(stripped, program, "{name}: stripping must remove a hint");
-        let unproved: Vec<String> = jahob::verify_program(&stripped, &options(1, true, true))
+        let unproved: Vec<String> = verify(&stripped, options(1, true, true))
             .iter()
             .flat_map(|r| r.report.unproved.clone())
             .collect();
@@ -110,29 +112,27 @@ fn inst_hints_prove_identically_across_the_dispatch_matrix() {
     // The instantiated sequents flow through routing, the cache (keyed per witness)
     // and the work-stealing queue like any other obligation: every configuration must
     // prove the identical set, in the identical deterministic report order.
-    let verdicts = |opts: &VerifyOptions| -> Vec<(String, usize, usize, Vec<String>)> {
+    let verdicts = |opts: DispatcherConfig| -> Vec<(String, usize, usize, Vec<String>)> {
         hinted_programs()
             .iter()
             .flat_map(|(name, program, _)| {
-                jahob::verify_program(program, opts)
-                    .into_iter()
-                    .map(move |r| {
-                        (
-                            format!("{name}::{}", r.method),
-                            r.report.proved_sequents,
-                            r.report.total_sequents,
-                            r.report.unproved,
-                        )
-                    })
+                verify(program, opts.clone()).into_iter().map(move |r| {
+                    (
+                        format!("{name}::{}", r.method),
+                        r.report.proved_sequents,
+                        r.report.total_sequents,
+                        r.report.unproved,
+                    )
+                })
             })
             .collect()
     };
-    let baseline = verdicts(&options(1, false, true));
+    let baseline = verdicts(options(1, false, true));
     assert!(baseline.iter().all(|(_, p, t, _)| p == t), "{baseline:?}");
     for threads in [1usize, 2, 4, 8] {
         for cache in [false, true] {
             for route in [false, true] {
-                let run = verdicts(&options(threads, cache, route));
+                let run = verdicts(options(threads, cache, route));
                 assert_eq!(
                     baseline, run,
                     "threads={threads} cache={cache} route={route} diverged"

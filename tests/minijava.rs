@@ -2,7 +2,7 @@
 //! translation → verification-condition generation → integrated reasoning.
 
 use jahob_repro::frontend::parse_program;
-use jahob_repro::jahob::{verify_program, VerifyOptions};
+use jahob_repro::jahob::Verifier;
 
 /// A small stack with a set-valued abstract state and a cardinality invariant, written in
 /// the paper's surface syntax (specifications inside `/*: ... */` and `//: ...` comments).
@@ -51,7 +51,7 @@ const STACK: &str = r#"
 fn text_sources_verify_end_to_end() {
     let program = parse_program(STACK).expect("parse");
     assert_eq!(program.classes.len(), 2);
-    let results = verify_program(&program, &VerifyOptions::default());
+    let results = Verifier::new().verify(&program).methods;
     assert_eq!(results.len(), 2);
     for result in &results {
         assert!(
@@ -92,7 +92,7 @@ fn inst_hints_work_from_source_text_end_to_end() {
     // the ground instance is proved. Dropping the hint (same source minus the `by`
     // clause) leaves exactly that assertion unproved.
     let program = parse_program(SLICE_LEMMA).expect("parse");
-    for result in verify_program(&program, &VerifyOptions::default()) {
+    for result in Verifier::new().verify(&program).methods {
         assert!(
             result.verified(),
             "{} not fully verified:\n{}",
@@ -104,7 +104,9 @@ fn inst_hints_work_from_source_text_end_to_end() {
     let unhinted_src = SLICE_LEMMA.replace(" by inst b := \"live - dead\"", "");
     assert_ne!(unhinted_src, SLICE_LEMMA);
     let unhinted = parse_program(&unhinted_src).expect("parse");
-    let unproved: Vec<String> = verify_program(&unhinted, &VerifyOptions::default())
+    let unproved: Vec<String> = Verifier::new()
+        .verify(&unhinted)
+        .methods
         .iter()
         .flat_map(|r| r.report.unproved.clone())
         .collect();
@@ -118,7 +120,9 @@ fn missing_ghost_update_is_caught() {
     // sequents rather than silently succeeding.
     let buggy = STACK.replace("//: content := \"{x} Un content\";", "");
     let program = parse_program(&buggy).expect("parse");
-    let push = verify_program(&program, &VerifyOptions::default())
+    let push = Verifier::new()
+        .verify(&program)
+        .methods
         .into_iter()
         .find(|r| r.method == "TextStack.push")
         .expect("push present");
@@ -143,7 +147,9 @@ fn wrong_postcondition_is_caught() {
         "ensures \"content = old content - {x}\"",
     );
     let program = parse_program(&wrong).expect("parse");
-    let push = verify_program(&program, &VerifyOptions::default())
+    let push = Verifier::new()
+        .verify(&program)
+        .methods
         .into_iter()
         .find(|r| r.method == "TextStack.push")
         .expect("push present");

@@ -1,8 +1,8 @@
 //! Integration tests spanning the whole workspace: frontend → vcgen → provers → driver.
 
-use jahob_repro::jahob::{suite, verify_program, VerifyOptions};
+use jahob_repro::jahob::{suite, Verifier};
 use jahob_repro::logic::{parse_form, Sequent};
-use jahob_repro::provers::{Dispatcher, ProverContext, ProverId};
+use jahob_repro::provers::{Dispatcher, ObligationBatch, ProverContext, ProverId};
 use jahob_repro::vcgen::ProofObligation;
 
 fn ob(assumptions: &[&str], goal: &str) -> ProofObligation {
@@ -51,7 +51,9 @@ fn integrated_reasoning_spreads_sequents_over_provers() {
             "n : alloc",
         ),
     ];
-    let report = Dispatcher::new().prove_obligations(&obs, &ProverContext::default());
+    let report = Dispatcher::new()
+        .prove_all(&ObligationBatch::uniform(&obs, &ProverContext::default()))
+        .aggregate();
     assert!(report.succeeded(), "unproved: {:?}", report.unproved);
     let distinct_provers = report
         .per_prover
@@ -67,7 +69,7 @@ fn integrated_reasoning_spreads_sequents_over_provers() {
 #[test]
 fn sized_list_figure7_report_shape() {
     let program = suite::sized_list();
-    let results = verify_program(&program, &VerifyOptions::default());
+    let results = Verifier::new().verify(&program).methods;
     let add = results
         .iter()
         .find(|r| r.method == "List.addNew")
@@ -103,7 +105,7 @@ fn simple_structures_are_mostly_automated_end_to_end() {
         suite::cursor_list(),
         suite::spanning_tree(),
     ] {
-        let results = verify_program(&program, &VerifyOptions::default());
+        let results = Verifier::new().verify(&program).methods;
         let total: usize = results.iter().map(|r| r.report.total_sequents).sum();
         let proved: usize = results.iter().map(|r| r.report.proved_sequents).sum();
         assert!(total >= 2, "too few obligations ({total})");

@@ -4,14 +4,14 @@
 //! broken inter-crate dependency edge fails here even if the member crates' own tests
 //! pass.
 
-use jahob_repro::jahob::{render_figure15, run_suite, suite, verify_program, VerifyOptions};
+use jahob_repro::jahob::{render_figure15, suite, Verifier};
 
 #[test]
 fn umbrella_crate_verifies_the_sized_list_end_to_end() {
     // Figure 7: the sized list's addNew needs the syntactic prover plus specialised
     // reasoners (BAPA for the cardinality invariant, SMT for the ground residue).
     let program = suite::sized_list();
-    let results = verify_program(&program, &VerifyOptions::default());
+    let results = Verifier::new().verify(&program).methods;
     let add = results
         .iter()
         .find(|r| r.method == "List.addNew")
@@ -67,7 +67,7 @@ fn every_reexported_crate_is_reachable() {
 
 #[test]
 fn figure15_suite_table_renders_through_the_umbrella() {
-    let rows = run_suite(&VerifyOptions::default());
+    let rows = Verifier::new().verify_suite();
     assert!(rows.len() >= 5, "suite has at least five structures");
     let table = render_figure15(&rows);
     assert!(table.contains("Data Structure"));
