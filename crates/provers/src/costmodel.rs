@@ -19,19 +19,18 @@
 //! between batches.
 //!
 //! **Persistence.** Under `CacheMode::Persistent` the model serialises as
-//! `cost-model.jahob` next to the proof store, with the same contract: versioned
-//! header, strict all-or-nothing parse, warned cold start on corruption, and
-//! atomic-rename merge writes (live cells win — they subsume what was loaded).
+//! `cost-model.jahob` next to the proof store, through the same record-file layer
+//! (`persist`): versioned header, counted trailer, strict all-or-nothing parse,
+//! warned cold start on corruption, and atomic-rename merge writes. This module
+//! holds only the `C` record codec and the merge rule (live cells win — they
+//! subsume what was loaded).
 
-use crate::faults::{FaultPlane, IoOp, IoTarget};
-use crate::store::{parse_prover, prover_tag};
+use crate::faults::IoTarget;
+use crate::persist::{parse_prover, prover_tag, RecordFile, Records};
 use crate::ProverId;
 use jahob_logic::features::FeatureBucket;
 use std::collections::HashMap;
-use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// The cost-model file format version. Independent of the proof-store version: the
@@ -221,237 +220,88 @@ impl CostModel {
     }
 }
 
-/// Why a cost-model file could not be loaded; rendered into the cold-start warning.
-#[derive(Debug)]
-pub(crate) enum ModelError {
-    /// Unreadable file (I/O, permissions).
-    Io(std::io::Error),
-    /// The header names an unknown format version.
-    Version(String),
-    /// Not a cost model, or a malformed/truncated record.
-    Format { line: usize, reason: String },
-}
-
-impl fmt::Display for ModelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelError::Io(e) => write!(f, "unreadable: {e}"),
-            ModelError::Version(v) => write!(
-                f,
-                "version mismatch: file has {v:?}, this build reads v{COST_MODEL_VERSION}"
-            ),
-            ModelError::Format { line, reason } => write!(f, "corrupt at line {line}: {reason}"),
-        }
-    }
-}
-
-/// [`load_or_warn_with`] on the disabled fault plane (test convenience).
-#[cfg(test)]
-pub(crate) fn load_or_warn(path: &Path) -> Vec<(ProverId, FeatureBucket, CostStat)> {
-    load_or_warn_with(path, FaultPlane::disabled())
-}
-
-/// Loads the model at `path` leniently: missing file → empty (silent); corrupt,
-/// truncated or future-versioned → empty plus one stderr warning. The model is
-/// advisory, so a cold start is always safe (injected read errors included).
-pub(crate) fn load_or_warn_with(
-    path: &Path,
-    faults: &FaultPlane,
-) -> Vec<(ProverId, FeatureBucket, CostStat)> {
-    match load_with(path, faults) {
-        Ok(cells) => cells,
-        Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => {
-            eprintln!(
-                "warning: ignoring cost model {} ({e}); starting cold",
-                path.display()
-            );
-            Vec::new()
-        }
-    }
-}
-
-/// [`load_with`] on the disabled fault plane (test convenience).
-#[cfg(test)]
-pub(crate) fn load(path: &Path) -> Result<Vec<(ProverId, FeatureBucket, CostStat)>, ModelError> {
-    load_with(path, FaultPlane::disabled())
-}
-
-/// Strictly parses the model at `path`: all-or-nothing, like the proof store.
-fn load_with(
-    path: &Path,
-    faults: &FaultPlane,
-) -> Result<Vec<(ProverId, FeatureBucket, CostStat)>, ModelError> {
-    faults
-        .io_op(IoTarget::CostModel, IoOp::Read)
-        .map_err(ModelError::Io)?;
-    let text = std::fs::read_to_string(path).map_err(ModelError::Io)?;
-    parse(&text)
-}
-
-fn parse(text: &str) -> Result<Vec<(ProverId, FeatureBucket, CostStat)>, ModelError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or(ModelError::Format {
-        line: 1,
-        reason: "empty file".into(),
-    })?;
-    match header.strip_prefix(MAGIC).map(str::trim) {
-        Some(version) if version == format!("v{COST_MODEL_VERSION}") => {}
-        Some(version) => return Err(ModelError::Version(version.to_string())),
-        None => {
-            return Err(ModelError::Format {
-                line: 1,
-                reason: format!(
-                    "not a cost model (header {:?})",
-                    header.chars().take(40).collect::<String>()
-                ),
-            })
-        }
-    }
-    let mut cells = Vec::new();
-    let mut trailer = None;
-    for (index, line) in lines {
-        let lineno = index + 1;
-        if trailer.is_some() {
-            return Err(ModelError::Format {
-                line: lineno,
-                reason: "content after the end trailer".into(),
-            });
-        }
-        let err = |reason: &str| ModelError::Format {
-            line: lineno,
-            reason: reason.to_string(),
-        };
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields[0] {
-            "C" => {
-                if fields.len() != 6 {
-                    return Err(err("cost record needs 6 fields"));
-                }
-                let prover = parse_prover(fields[1]).ok_or_else(|| err("prover tag"))?;
-                let bucket = FeatureBucket::from_tag(fields[2]).ok_or_else(|| err("bucket tag"))?;
-                let attempts = fields[3].parse::<u64>().map_err(|_| err("attempts"))?;
-                let wins = fields[4].parse::<u64>().map_err(|_| err("wins"))?;
-                let ema_cost_ns = fields[5].parse::<f64>().map_err(|_| err("ema cost"))?;
-                if wins > attempts || !ema_cost_ns.is_finite() || ema_cost_ns < 0.0 {
-                    return Err(err("implausible cost record"));
-                }
-                cells.push((
-                    prover,
-                    bucket,
-                    CostStat {
-                        attempts,
-                        wins,
-                        ema_cost_ns,
-                    },
-                ));
-            }
-            "## end" => {
-                if fields.len() != 2 {
-                    return Err(err("end trailer needs 1 count"));
-                }
-                let count = fields[1].parse::<usize>().map_err(|_| err("count"))?;
-                if count != cells.len() {
-                    return Err(err("record count disagrees with the trailer (truncated?)"));
-                }
-                trailer = Some(());
-            }
-            _ => return Err(err("unknown record type")),
-        }
-    }
-    if trailer.is_none() {
-        return Err(ModelError::Format {
-            line: text.lines().count(),
-            reason: "missing end trailer (truncated?)".into(),
-        });
-    }
-    Ok(cells)
-}
-
-/// [`merge_write_with`] on the disabled fault plane (test convenience).
-#[cfg(test)]
-pub(crate) fn merge_write(
-    path: &Path,
-    live: Vec<(ProverId, FeatureBucket, CostStat)>,
-) -> std::io::Result<usize> {
-    merge_write_with(path, live, FaultPlane::disabled())
-}
-
-/// Merge-writes `live` cells into the model at `path`: existing parseable cells are
-/// read back, live cells win on collision (they absorbed the disk state at load),
-/// and the union is written via a unique temp file and an atomic rename — the same
-/// torn-file-proof discipline as the proof store, with the same three fault kill
-/// points as [`crate::store::merge_write_with`] (re-read, tmp-file write, and the
-/// torn instant between write and rename), under the same error discipline: a
-/// profile that exists but cannot be read fails the flush instead of being
-/// overwritten, so the dispatcher's bounded retry can absorb the transient.
-pub(crate) fn merge_write_with(
-    path: &Path,
-    live: Vec<(ProverId, FeatureBucket, CostStat)>,
-    faults: &FaultPlane,
-) -> std::io::Result<usize> {
-    let mut cells: HashMap<Key, CostStat> = HashMap::new();
-    let existing = match load_with(path, faults) {
-        Ok(cells) => cells,
-        Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(ModelError::Io(e)) => return Err(e),
-        Err(e) => {
-            eprintln!(
-                "warning: ignoring cost model {} ({e}); starting cold",
-                path.display()
-            );
-            Vec::new()
-        }
+impl Records for Vec<(ProverId, FeatureBucket, CostStat)> {
+    const FILE: RecordFile = RecordFile {
+        magic: MAGIC,
+        version: COST_MODEL_VERSION,
+        noun: "cost model",
+        tags: &["C"],
+        target: IoTarget::CostModel,
     };
-    for (prover, bucket, stat) in existing.into_iter().chain(live) {
-        cells.insert((prover, bucket), stat);
-    }
-    let mut cells: Vec<(Key, CostStat)> = cells.into_iter().collect();
-    cells.sort_by_key(|((prover, bucket), _)| (*prover as u8, *bucket));
 
-    let mut out = String::new();
-    out.push_str(&format!("{MAGIC} v{COST_MODEL_VERSION}\n"));
-    for ((prover, bucket), stat) in &cells {
-        out.push_str(&format!(
-            "C\t{}\t{}\t{}\t{}\t{}\n",
-            prover_tag(*prover),
-            bucket.tag(),
-            stat.attempts,
-            stat.wins,
-            stat.ema_cost_ns,
-        ));
-    }
-    out.push_str(&format!("## end\t{}\n", cells.len()));
-
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    faults.io_op(IoTarget::CostModel, IoOp::Write)?;
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    // The `torn` kill point — see `store::merge_write_with`: the tmp file stays,
-    // the old profile stays visible.
-    faults.io_op(IoTarget::CostModel, IoOp::Rename)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(cells.len()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
+    fn decode(&mut self, fields: &[&str]) -> Result<(), &'static str> {
+        if fields.len() != 6 {
+            return Err("cost record needs 6 fields");
         }
+        let prover = parse_prover(fields[1]).ok_or("prover tag")?;
+        let bucket = FeatureBucket::from_tag(fields[2]).ok_or("bucket tag")?;
+        let attempts = fields[3].parse::<u64>().map_err(|_| "attempts")?;
+        let wins = fields[4].parse::<u64>().map_err(|_| "wins")?;
+        let ema_cost_ns = fields[5].parse::<f64>().map_err(|_| "ema cost")?;
+        if wins > attempts || !ema_cost_ns.is_finite() || ema_cost_ns < 0.0 {
+            return Err("implausible cost record");
+        }
+        self.push((
+            prover,
+            bucket,
+            CostStat {
+                attempts,
+                wins,
+                ema_cost_ns,
+            },
+        ));
+        Ok(())
+    }
+
+    /// Live cells win on collision: they absorbed the disk state at load.
+    fn merge(existing: Self, live: Self) -> Self {
+        let cells: HashMap<Key, CostStat> = existing
+            .into_iter()
+            .chain(live)
+            .map(|(prover, bucket, stat)| ((prover, bucket), stat))
+            .collect();
+        let mut cells: Vec<_> = cells
+            .into_iter()
+            .map(|((prover, bucket), stat)| (prover, bucket, stat))
+            .collect();
+        cells.sort_by_key(|(prover, bucket, _)| (*prover as u8, *bucket));
+        cells
+    }
+
+    fn encode(&self, out: &mut String) -> Vec<usize> {
+        for (prover, bucket, stat) in self {
+            out.push_str(&format!(
+                "C\t{}\t{}\t{}\t{}\t{}\n",
+                prover_tag(*prover),
+                bucket.tag(),
+                stat.attempts,
+                stat.wins,
+                stat.ema_cost_ns,
+            ));
+        }
+        vec![self.len()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlane;
+    use crate::persist::{self, LoadError};
+
+    type Cells = Vec<(ProverId, FeatureBucket, CostStat)>;
+
+    fn load(path: &Path) -> Result<Cells, LoadError> {
+        persist::load(path, FaultPlane::disabled())
+    }
+
+    fn load_or_warn(path: &Path) -> Cells {
+        persist::load_or_warn(path, FaultPlane::disabled())
+    }
+
+    fn merge_write(path: &Path, live: Cells) -> std::io::Result<usize> {
+        persist::merge_write(path, live, FaultPlane::disabled())
+    }
 
     fn bucket(bits: u8) -> FeatureBucket {
         FeatureBucket::from_bits(bits)
@@ -605,6 +455,10 @@ mod tests {
                 "{MAGIC} v{COST_MODEL_VERSION}\nC\tsmt\tbogus-bucket\t3\t1\t10.0\n## end\t1\n"
             ),
             &format!("{MAGIC} v{COST_MODEL_VERSION}\nC\tsmt\tarith\t3\t9\t10.0\n## end\t1\n"), // wins > attempts
+            &format!(
+                "{MAGIC} v{COST_MODEL_VERSION}\nC\tsmt\tarith\t3\t1\t10.0\n## end\t1\nC\tsmt\tarith\t3\t1\t10.0\n"
+            ), // content after the trailer
+            &format!("{MAGIC} v{COST_MODEL_VERSION}\nX\tsmt\n## end\t0\n"), // unknown record tag
         ] {
             std::fs::write(&path, text).unwrap();
             assert!(load(&path).is_err(), "{text:?} must not parse");

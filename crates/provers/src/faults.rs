@@ -299,9 +299,8 @@ impl FaultPlane {
         }
     }
 
-    /// The shared no-fault plane (test convenience for store/cost-model tests that
-    /// exercise the fault-free paths through the plain `merge_write`/`load_or_warn`
-    /// wrappers).
+    /// The shared no-fault plane (test convenience for the record-file tests that
+    /// load and merge-write without injected faults).
     #[cfg(test)]
     pub(crate) fn disabled() -> &'static FaultPlane {
         &DISABLED

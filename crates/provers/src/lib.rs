@@ -55,6 +55,7 @@ mod config;
 pub mod costmodel;
 pub mod faults;
 pub mod inst;
+mod persist;
 mod report;
 pub mod router;
 pub mod store;
@@ -381,9 +382,9 @@ impl Dispatcher {
         let model = CostModel::new();
         let store = if let CacheMode::Persistent { dir, flush } = &config.cache {
             let path = store_path(dir);
-            cache.absorb(store::load_or_warn_with(&path, &faults));
-            let model_path = costmodel::cost_model_path(dir);
-            model.absorb(costmodel::load_or_warn_with(&model_path, &faults));
+            cache.absorb(persist::load_or_warn(&path, &faults));
+            let model_path = cost_model_path(dir);
+            model.absorb(persist::load_or_warn(&model_path, &faults));
             Some(StoreHandle {
                 path,
                 model_path,
@@ -412,11 +413,15 @@ impl Dispatcher {
     /// and atomically renames it over the store) and never lose each other's
     /// entries (each re-reads the store and overlays its own snapshot before
     /// writing).
+    /// The cost-model profile is merge-written after the store, in the same call.
     /// Transient I/O failures (including injected ones) are retried with a short
     /// backoff before the error is surfaced; [`Dispatcher::store_retries`] counts
-    /// the retries.
+    /// the retries. A file that still fails makes the call return the first error,
+    /// the store's before the profile's, but both files are always attempted.
     pub fn flush_store(&self) -> std::io::Result<usize> {
-        self.shared.flush_store()
+        self.shared
+            .flush()
+            .map_err(|mut failures| failures.swap_remove(0).error)
     }
 
     /// Number of store/cost-model write attempts that failed transiently and were
@@ -426,41 +431,68 @@ impl Dispatcher {
         self.shared.store_retries.load(Ordering::Relaxed)
     }
 
-    /// The implicit last-drop flush, without the `Drop` wrapper (see
-    /// [`Shared::drop_flush_warnings`]).
+    /// The warning lines the implicit last-drop flush would print, without the
+    /// `Drop` wrapper.
     #[cfg(test)]
     fn drop_flush_warnings(&self) -> Vec<String> {
-        self.shared.drop_flush_warnings()
+        let failures = self.shared.flush().err().unwrap_or_default();
+        failures.iter().map(ToString::to_string).collect()
+    }
+}
+
+/// A persistent file a flush could not write, even after its retries. Displays as
+/// the one-line warning of a failed implicit flush.
+#[derive(Debug)]
+struct FlushFailure {
+    /// What the file is and where, e.g. `proof store <path>`.
+    file: String,
+    error: std::io::Error,
+}
+
+impl fmt::Display for FlushFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "warning: failed to flush {}: {}", self.file, self.error)
     }
 }
 
 impl Shared {
-    fn flush_store(&self) -> std::io::Result<usize> {
-        match &self.store {
-            Some(handle) => {
-                self.write_cost_model(handle)?;
-                self.write_proof_store(handle)
-            }
-            None => Ok(0),
-        }
-    }
-
-    /// Merge-writes the verdict cache into the proof store (retried), returning the
-    /// store's verdict-entry count.
-    fn write_proof_store(&self, handle: &StoreHandle) -> std::io::Result<usize> {
-        self.with_retry(|| store::merge_write_with(&handle.path, self.cache.export(), &self.faults))
-    }
-
-    /// Commits pending cost observations and merge-writes the profile (retried); an
-    /// empty model writes nothing.
-    fn write_cost_model(&self, handle: &StoreHandle) -> std::io::Result<()> {
+    /// The one flush path, behind both [`Dispatcher::flush_store`] and `Drop`:
+    /// merge-writes the proof store, then commits pending cost observations and
+    /// merge-writes the profile (an empty model writes nothing), each under
+    /// [`Shared::with_retry`]. Both files are always attempted, so a failed
+    /// (advisory) profile write never costs the verdicts. Returns the store's
+    /// verdict-entry count (`0` without a persistent store), or every file that
+    /// still failed, the store first.
+    fn flush(&self) -> Result<usize, Vec<FlushFailure>> {
+        let Some(handle) = &self.store else {
+            return Ok(0);
+        };
+        let mut failures = Vec::new();
+        let written = self
+            .with_retry(|| persist::merge_write(&handle.path, self.cache.export(), &self.faults))
+            .unwrap_or_else(|error| {
+                failures.push(FlushFailure {
+                    file: format!("proof store {}", handle.path.display()),
+                    error,
+                });
+                0
+            });
         self.model.commit();
         if !self.model.is_empty() {
-            self.with_retry(|| {
-                costmodel::merge_write_with(&handle.model_path, self.model.export(), &self.faults)
-            })?;
+            if let Err(error) = self.with_retry(|| {
+                persist::merge_write(&handle.model_path, self.model.export(), &self.faults)
+            }) {
+                failures.push(FlushFailure {
+                    file: format!("cost model {}", handle.model_path.display()),
+                    error,
+                });
+            }
         }
-        Ok(())
+        if failures.is_empty() {
+            Ok(written)
+        } else {
+            Err(failures)
+        }
     }
 
     /// Runs a store write up to three times, sleeping briefly between attempts.
@@ -480,28 +512,6 @@ impl Shared {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// The implicit last-drop flush, factored out of `Drop` so tests can exercise it
-    /// without capturing stderr: performs the retried merge-writes and returns one
-    /// warning line per store file that still could not be written.
-    fn drop_flush_warnings(&self) -> Vec<String> {
-        let mut warnings = Vec::new();
-        if let Some(handle) = &self.store {
-            if let Err(e) = self.write_proof_store(handle) {
-                warnings.push(format!(
-                    "warning: failed to flush proof store {}: {e}",
-                    handle.path.display()
-                ));
-            }
-            if let Err(e) = self.write_cost_model(handle) {
-                warnings.push(format!(
-                    "warning: failed to flush cost model {}: {e}",
-                    handle.model_path.display()
-                ));
-            }
-        }
-        warnings
     }
 }
 
@@ -524,13 +534,13 @@ impl Drop for Shared {
     fn drop(&mut self) {
         if let Some(handle) = &self.store {
             if handle.flush_on_drop {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.drop_flush_warnings()
-                }));
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.flush()));
                 match outcome {
-                    Ok(warnings) => {
-                        for w in warnings {
-                            eprintln!("{w}");
+                    Ok(Ok(_)) => {}
+                    Ok(Err(failures)) => {
+                        for failure in failures {
+                            eprintln!("{failure}");
                         }
                     }
                     Err(_) => eprintln!(
@@ -2356,36 +2366,92 @@ mod tests {
 
     #[test]
     fn failed_drop_flush_warns_once_per_file_and_never_panics() {
+        // Every I/O operation on the faulted file fails, so all three retry attempts
+        // of its merge-write fail; the other file is unfaulted and flushes.
+        type PathOf = fn(&std::path::Path) -> PathBuf;
+        let cases: [(&str, &str, PathOf, PathOf); 2] = [
+            (
+                "store:io@1",
+                "proof store",
+                store_path,
+                costmodel::cost_model_path,
+            ),
+            (
+                "costmodel:io@1",
+                "cost model",
+                costmodel::cost_model_path,
+                store_path,
+            ),
+        ];
+        for (spec, failed, failed_path, written_path) in cases {
+            let dir = std::env::temp_dir().join(format!(
+                "jahob-provers-faults-{}-drop-warn-{}",
+                std::process::id(),
+                spec.replace([':', '@'], "-")
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let dispatcher = Dispatcher::with_config(
+                DispatcherConfig::builder()
+                    .cache(CacheMode::Persistent {
+                        dir: dir.clone(),
+                        flush: true,
+                    })
+                    .faults(FaultSpec::parse(spec).expect("valid spec"))
+                    .build(),
+            );
+            assert!(dispatcher
+                .prove_one(&ob(&["x = y"], "y = x"), &ProverContext::default())
+                .succeeded());
+            let warnings = dispatcher.drop_flush_warnings();
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert!(
+                warnings[0].starts_with(&format!("warning: failed to flush {failed}")),
+                "{warnings:?}"
+            );
+            assert!(
+                warnings[0].contains(&failed_path(&dir).display().to_string()),
+                "the warning must name the path: {warnings:?}"
+            );
+            assert!(
+                written_path(&dir).exists(),
+                "{spec}: the unfaulted file is written"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn failed_cost_model_flush_still_writes_the_proof_store() {
         let dir = std::env::temp_dir().join(format!(
-            "jahob-provers-faults-{}-drop-warn",
+            "jahob-provers-faults-{}-model-fails",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        // Every store I/O operation fails, so all three retry attempts of the
-        // store merge-write fail; the cost-model file is unfaulted and flushes.
-        let spec = FaultSpec::parse("store:io@1").expect("valid spec");
-        let dispatcher = Dispatcher::with_config(
+        let persistent = |faults: &str| {
             DispatcherConfig::builder()
                 .cache(CacheMode::Persistent {
                     dir: dir.clone(),
-                    flush: true,
+                    flush: false,
                 })
-                .faults(spec)
-                .build(),
-        );
+                .faults(FaultSpec::parse(faults).expect("valid spec"))
+                .build()
+        };
+        let o = ob(&["x = y"], "y = x");
+        let dispatcher = Dispatcher::with_config(persistent("costmodel:io@1"));
         assert!(dispatcher
-            .prove_one(&ob(&["x = y"], "y = x"), &ProverContext::default())
+            .prove_one(&o, &ProverContext::default())
             .succeeded());
-        let warnings = dispatcher.drop_flush_warnings();
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        let err = dispatcher
+            .flush_store()
+            .expect_err("the cost-model write fails on every retry");
+        assert!(err.to_string().contains("costmodel:io@1"), "{err}");
         assert!(
-            warnings[0].starts_with("warning: failed to flush proof store"),
-            "{warnings:?}"
+            store_path(&dir).exists(),
+            "the proof store is still written"
         );
-        assert!(
-            warnings[0].contains(&store_path(&dir).display().to_string()),
-            "the warning must name the path: {warnings:?}"
-        );
+        let warm = Dispatcher::with_config(persistent(""));
+        let replay = warm.prove_one(&o, &ProverContext::default());
+        assert_eq!(replay.cache_disk_hits, 1, "the verdict reached disk");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

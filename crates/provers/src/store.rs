@@ -14,36 +14,28 @@
 //! printed form *is* the content address — `SequentKey` hashes are recomputed
 //! deterministically on load), the hinted-variant key, the variable classification,
 //! the lemma-registration bit, **and the dispatcher's `config_fingerprint`** (prover
-//! order, hint usage, routing). A store written under one configuration is therefore
+//! order, routing, budgets, and the deadline when one is set). A store written under
+//! one configuration is therefore
 //! never *replayed* under another: entries with a foreign fingerprint are loaded but
 //! can never be looked up, and a later merge-write carries them along untouched, so
 //! one store file can serve many configurations side by side.
 //!
-//! **Versioning and robustness.** The file starts with a
-//! `jahob-proof-store v<N>` header ([`STORE_VERSION`]) and ends with an `## end`
-//! trailer carrying the record counts, so truncation is detected even at a line
-//! boundary. A missing file is a silent cold start; a corrupt, truncated or
-//! future-versioned file is a **warned** cold start (one stderr line naming the path
-//! and the reason) — never a crash, and never a partial load: a store either parses
-//! completely or contributes nothing.
-//!
-//! **Merge semantics.** A flush re-reads the file, overlays the live snapshot on top
-//! (live verdicts win on key collision — they are at least as fresh; failure masks are
-//! OR-ed), and writes the union to a temporary file in the same directory, atomically
-//! renamed over the store. Concurrent writers can therefore never produce a torn
-//! file: readers see either the old store or the new one, whole. Two processes
-//! flushing simultaneously may each miss the other's *newest* entries (last rename
-//! wins), but since each merge starts from the current file, nothing already on disk
-//! is ever lost, and a later flush from either process re-contributes the remainder.
+//! **Format.** The framing — the `jahob-proof-store v<N>` header ([`STORE_VERSION`]),
+//! the counted `## end` trailer, the all-or-nothing load with its warned cold start,
+//! and the atomic-rename merge-write — is the record-file layer shared with the cost
+//! model (`persist`). This module holds the `V` (verdict) and `F` (failure-mask)
+//! record codec and the merge rule: live verdicts win on key collision (they are at
+//! least as fresh) and failure masks are OR-ed. Two processes flushing simultaneously
+//! may each miss the other's *newest* entries (last rename wins), but since each
+//! merge starts from the current file, nothing already on disk is ever lost, and a
+//! later flush from either process re-contributes the remainder.
 
 use crate::cache::{CacheKey, CachedOutcome, FailureKey, SequentKey};
-use crate::faults::{FaultPlane, IoOp, IoTarget};
+use crate::faults::IoTarget;
+use crate::persist::{escape, parse_prover, prover_tag, unescape, RecordFile, Records};
 use crate::ProverId;
 use std::collections::HashMap;
-use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The store format version this build reads and writes. Bumped whenever the record
 /// layout, the canonical-form definition, or the fingerprint contents change
@@ -70,328 +62,116 @@ pub(crate) struct StoreData {
     pub(crate) failures: Vec<(FailureKey, u8)>,
 }
 
-/// Why a store file could not be loaded. Rendered into the one-line cold-start
-/// warning; never propagated as a failure.
-#[derive(Debug)]
-pub(crate) enum StoreError {
-    /// The file could not be read at all (permissions, I/O).
-    Io(std::io::Error),
-    /// The header names a format version this build does not know (a future build
-    /// wrote it, or the file is from an incompatible lineage).
-    Version(String),
-    /// The file is not a proof store, or a record is malformed or truncated.
-    Format { line: usize, reason: String },
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "unreadable: {e}"),
-            StoreError::Version(v) => write!(
-                f,
-                "version mismatch: file has {v:?}, this build reads v{STORE_VERSION}"
-            ),
-            StoreError::Format { line, reason } => {
-                write!(f, "corrupt at line {line}: {reason}")
-            }
-        }
-    }
-}
-
-/// [`load_or_warn_with`] on the disabled fault plane (test convenience).
-#[cfg(test)]
-pub(crate) fn load_or_warn(path: &Path) -> StoreData {
-    load_or_warn_with(path, FaultPlane::disabled())
-}
-
-/// Loads the store at `path` leniently: missing file → empty (silent); anything the
-/// strict parser rejects → empty plus a single stderr warning naming the path and
-/// the reason. This is the cold-start-never-crash contract of the dispatcher's
-/// construction-time load. The torture harness injects read errors through the
-/// fault plane here; they surface exactly like any other unreadable store — a
-/// warned cold start, never a crash.
-pub(crate) fn load_or_warn_with(path: &Path, faults: &FaultPlane) -> StoreData {
-    match load_with(path, faults) {
-        Ok(data) => data,
-        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => StoreData::default(),
-        Err(e) => {
-            eprintln!(
-                "warning: ignoring proof store {} ({e}); starting cold",
-                path.display()
-            );
-            StoreData::default()
-        }
-    }
-}
-
-/// [`load_with`] on the disabled fault plane (test convenience).
-#[cfg(test)]
-pub(crate) fn load(path: &Path) -> Result<StoreData, StoreError> {
-    load_with(path, FaultPlane::disabled())
-}
-
-/// Strictly parses the store at `path`. All-or-nothing: any malformed record makes
-/// the whole file unusable (partial loads could replay a half-written verdict set as
-/// if it were complete).
-fn load_with(path: &Path, faults: &FaultPlane) -> Result<StoreData, StoreError> {
-    faults
-        .io_op(IoTarget::Store, IoOp::Read)
-        .map_err(StoreError::Io)?;
-    let text = std::fs::read_to_string(path).map_err(StoreError::Io)?;
-    parse(&text)
-}
-
-fn parse(text: &str) -> Result<StoreData, StoreError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or(StoreError::Format {
-        line: 1,
-        reason: "empty file".into(),
-    })?;
-    match header.strip_prefix(MAGIC).map(str::trim) {
-        Some(version) if version == format!("v{STORE_VERSION}") => {}
-        Some(version) => return Err(StoreError::Version(version.to_string())),
-        None => {
-            return Err(StoreError::Format {
-                line: 1,
-                reason: format!("not a proof store (header {:?})", truncate(header)),
-            })
-        }
-    }
-    let mut data = StoreData::default();
-    let mut trailer = None;
-    for (index, line) in lines {
-        let lineno = index + 1;
-        if trailer.is_some() {
-            return Err(StoreError::Format {
-                line: lineno,
-                reason: "content after the end trailer".into(),
-            });
-        }
-        let err = |reason: &str| StoreError::Format {
-            line: lineno,
-            reason: reason.to_string(),
-        };
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields[0] {
-            "V" => {
-                if fields.len() != 12 {
-                    return Err(err("verdict record needs 12 fields"));
-                }
-                let key = CacheKey {
-                    config_fingerprint: unescape(fields[1]).ok_or_else(|| err("fingerprint"))?,
-                    sequent: SequentKey::from_repr(
-                        unescape(fields[2]).ok_or_else(|| err("sequent"))?,
-                    ),
-                    hinted: match fields[3] {
-                        "-" => None,
-                        tagged => Some(SequentKey::from_repr(
-                            tagged
-                                .strip_prefix('=')
-                                .and_then(unescape)
-                                .ok_or_else(|| err("hinted sequent"))?,
-                        )),
-                    },
-                    var_classes: unescape(fields[4]).ok_or_else(|| err("var classes"))?,
-                    lemma_registered: parse_bool(fields[5]).ok_or_else(|| err("lemma bit"))?,
-                };
-                let outcome = CachedOutcome {
-                    proved: parse_bool(fields[6]).ok_or_else(|| err("proved bit"))?,
-                    prover: match fields[7] {
-                        "-" => None,
-                        tag => Some(parse_prover(tag).ok_or_else(|| err("prover tag"))?),
-                    },
-                    attempted: parse_counts(fields[8]).ok_or_else(|| err("attempted counts"))?,
-                    skipped: parse_counts(fields[9]).ok_or_else(|| err("skipped counts"))?,
-                    budget_aborts: parse_counts(fields[10])
-                        .ok_or_else(|| err("budget-abort counts"))?,
-                    rescued: parse_bool(fields[11]).ok_or_else(|| err("rescued bit"))?,
-                    from_disk: false, // stamped by `SequentCache::absorb`
-                };
-                data.verdicts.push((key, outcome));
-            }
-            "F" => {
-                if fields.len() != 4 {
-                    return Err(err("failure record needs 4 fields"));
-                }
-                let key = FailureKey {
-                    sequent: SequentKey::from_repr(
-                        unescape(fields[1]).ok_or_else(|| err("sequent"))?,
-                    ),
-                    var_classes: unescape(fields[2]).ok_or_else(|| err("var classes"))?,
-                };
-                let mask = fields[3].parse::<u8>().map_err(|_| err("failure mask"))?;
-                data.failures.push((key, mask));
-            }
-            "## end" => {
-                if fields.len() != 3 {
-                    return Err(err("end trailer needs 2 counts"));
-                }
-                let verdicts = fields[1].parse::<usize>().map_err(|_| err("count"))?;
-                let failures = fields[2].parse::<usize>().map_err(|_| err("count"))?;
-                if verdicts != data.verdicts.len() || failures != data.failures.len() {
-                    return Err(err("record counts disagree with the trailer (truncated?)"));
-                }
-                trailer = Some(());
-            }
-            _ => return Err(err("unknown record type")),
-        }
-    }
-    if trailer.is_none() {
-        return Err(StoreError::Format {
-            line: text.lines().count(),
-            reason: "missing end trailer (truncated?)".into(),
-        });
-    }
-    Ok(data)
-}
-
-/// [`merge_write_with`] on the disabled fault plane (test convenience).
-#[cfg(test)]
-pub(crate) fn merge_write(path: &Path, live: StoreData) -> std::io::Result<usize> {
-    merge_write_with(path, live, FaultPlane::disabled())
-}
-
-/// Merge-writes `live` into the store at `path`: existing parseable contents are
-/// read back and the live snapshot overlaid (live verdicts win, failure masks OR),
-/// then the union is written to a temp file in the same directory and atomically
-/// renamed over the store. Returns the number of verdict records written.
-///
-/// The fault plane's injection points, in write order: the
-/// re-read of the existing store, the tmp-file creation (`io` faults), and the
-/// instant between tmp-file write and atomic rename (`torn` faults — the tmp file
-/// is left behind and the previous store stays in place, exactly the state a crash
-/// there would leave).
-///
-/// Error discipline of the re-read: a *missing* store is the normal first flush, a
-/// *corrupt* store is warned and overwritten (it contributed nothing to loads
-/// either), but a store that exists and cannot be **read** fails the whole flush —
-/// overwriting on a transient I/O error would discard every entry the file still
-/// holds, and the dispatcher's bounded retry exists precisely to absorb such
-/// transients.
-pub(crate) fn merge_write_with(
-    path: &Path,
-    live: StoreData,
-    faults: &FaultPlane,
-) -> std::io::Result<usize> {
-    let mut verdicts: HashMap<CacheKey, CachedOutcome> = HashMap::new();
-    let mut failures: HashMap<FailureKey, u8> = HashMap::new();
-    let existing = match load_with(path, faults) {
-        Ok(data) => data,
-        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => StoreData::default(),
-        Err(StoreError::Io(e)) => return Err(e),
-        Err(e) => {
-            eprintln!(
-                "warning: ignoring proof store {} ({e}); starting cold",
-                path.display()
-            );
-            StoreData::default()
-        }
+impl Records for StoreData {
+    const FILE: RecordFile = RecordFile {
+        magic: MAGIC,
+        version: STORE_VERSION,
+        noun: "proof store",
+        tags: &["V", "F"],
+        target: IoTarget::Store,
     };
-    for (key, outcome) in existing.verdicts.into_iter().chain(live.verdicts) {
-        verdicts.insert(key, outcome);
-    }
-    for (key, mask) in existing.failures.into_iter().chain(live.failures) {
-        *failures.entry(key).or_insert(0) |= mask;
-    }
 
-    let mut out = String::new();
-    out.push_str(&format!("{MAGIC} v{STORE_VERSION}\n"));
-    // Deterministic record order: identical cache contents always serialize to the
-    // identical file, so stores can be diffed (and committed) meaningfully.
-    let mut verdicts: Vec<_> = verdicts.into_iter().collect();
-    verdicts.sort_by(|(a, _), (b, _)| {
-        (a.sequent.repr(), &a.config_fingerprint, &a.var_classes).cmp(&(
-            b.sequent.repr(),
-            &b.config_fingerprint,
-            &b.var_classes,
-        ))
-    });
-    let mut failures: Vec<_> = failures.into_iter().collect();
-    failures.sort_by(|(a, _), (b, _)| {
-        (a.sequent.repr(), &a.var_classes).cmp(&(b.sequent.repr(), &b.var_classes))
-    });
-    let written = verdicts.len();
-    for (key, outcome) in &verdicts {
-        out.push_str(&format!(
-            "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            escape(&key.config_fingerprint),
-            escape(key.sequent.repr()),
-            match &key.hinted {
-                None => "-".to_string(),
-                Some(h) => format!("={}", escape(h.repr())),
-            },
-            escape(&key.var_classes),
-            key.lemma_registered as u8,
-            outcome.proved as u8,
-            outcome.prover.map_or("-", prover_tag),
-            render_counts(&outcome.attempted),
-            render_counts(&outcome.skipped),
-            render_counts(&outcome.budget_aborts),
-            outcome.rescued as u8,
-        ));
-    }
-    for (key, mask) in &failures {
-        out.push_str(&format!(
-            "F\t{}\t{}\t{mask}\n",
-            escape(key.sequent.repr()),
-            escape(&key.var_classes),
-        ));
-    }
-    out.push_str(&format!("## end\t{}\t{}\n", written, failures.len()));
-
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    // Unique temp name per process *and* per write, so two flushing processes never
-    // scribble into each other's temp file; the rename is the only visible step.
-    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    faults.io_op(IoTarget::Store, IoOp::Write)?;
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    // The `torn` kill point: a crash here has written the whole tmp file but never
-    // made it visible. The injected form returns the error *without* cleaning up,
-    // so the torture harness observes exactly that state (tmp debris, old store
-    // intact and still parseable).
-    faults.io_op(IoTarget::Store, IoOp::Rename)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(written),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
+    fn decode(&mut self, fields: &[&str]) -> Result<(), &'static str> {
+        if fields[0] == "V" {
+            // A verdict record; the only other tag is `F`, a failure-memo mask.
+            if fields.len() != 12 {
+                return Err("verdict record needs 12 fields");
+            }
+            let key = CacheKey {
+                config_fingerprint: unescape(fields[1]).ok_or("fingerprint")?,
+                sequent: SequentKey::from_repr(unescape(fields[2]).ok_or("sequent")?),
+                hinted: match fields[3] {
+                    "-" => None,
+                    tagged => Some(SequentKey::from_repr(
+                        tagged
+                            .strip_prefix('=')
+                            .and_then(unescape)
+                            .ok_or("hinted sequent")?,
+                    )),
+                },
+                var_classes: unescape(fields[4]).ok_or("var classes")?,
+                lemma_registered: parse_bool(fields[5]).ok_or("lemma bit")?,
+            };
+            let outcome = CachedOutcome {
+                proved: parse_bool(fields[6]).ok_or("proved bit")?,
+                prover: match fields[7] {
+                    "-" => None,
+                    tag => Some(parse_prover(tag).ok_or("prover tag")?),
+                },
+                attempted: parse_counts(fields[8]).ok_or("attempted counts")?,
+                skipped: parse_counts(fields[9]).ok_or("skipped counts")?,
+                budget_aborts: parse_counts(fields[10]).ok_or("budget-abort counts")?,
+                rescued: parse_bool(fields[11]).ok_or("rescued bit")?,
+                from_disk: false, // stamped by `SequentCache::absorb`
+            };
+            self.verdicts.push((key, outcome));
+        } else {
+            if fields.len() != 4 {
+                return Err("failure record needs 4 fields");
+            }
+            let key = FailureKey {
+                sequent: SequentKey::from_repr(unescape(fields[1]).ok_or("sequent")?),
+                var_classes: unescape(fields[2]).ok_or("var classes")?,
+            };
+            let mask = fields[3].parse::<u8>().map_err(|_| "failure mask")?;
+            self.failures.push((key, mask));
         }
+        Ok(())
     }
-}
 
-/// The stable serialization tag of a prover (display names are presentation, not
-/// format). Shared with the cost-model file format (`costmodel`).
-pub(crate) fn prover_tag(prover: ProverId) -> &'static str {
-    match prover {
-        ProverId::Syntactic => "syntactic",
-        ProverId::Mona => "mona",
-        ProverId::Smt => "smt",
-        ProverId::Fol => "fol",
-        ProverId::Bapa => "bapa",
-        ProverId::Interactive => "interactive",
+    /// Live verdicts win on key collision (they are at least as fresh); failure
+    /// masks OR together.
+    fn merge(existing: StoreData, live: StoreData) -> StoreData {
+        let verdicts: HashMap<CacheKey, CachedOutcome> =
+            existing.verdicts.into_iter().chain(live.verdicts).collect();
+        let mut failures: HashMap<FailureKey, u8> = HashMap::new();
+        for (key, mask) in existing.failures.into_iter().chain(live.failures) {
+            *failures.entry(key).or_insert(0) |= mask;
+        }
+        let mut verdicts: Vec<_> = verdicts.into_iter().collect();
+        verdicts.sort_by(|(a, _), (b, _)| {
+            (a.sequent.repr(), &a.config_fingerprint, &a.var_classes).cmp(&(
+                b.sequent.repr(),
+                &b.config_fingerprint,
+                &b.var_classes,
+            ))
+        });
+        let mut failures: Vec<_> = failures.into_iter().collect();
+        failures.sort_by(|(a, _), (b, _)| {
+            (a.sequent.repr(), &a.var_classes).cmp(&(b.sequent.repr(), &b.var_classes))
+        });
+        StoreData { verdicts, failures }
     }
-}
 
-pub(crate) fn parse_prover(tag: &str) -> Option<ProverId> {
-    Some(match tag {
-        "syntactic" => ProverId::Syntactic,
-        "mona" => ProverId::Mona,
-        "smt" => ProverId::Smt,
-        "fol" => ProverId::Fol,
-        "bapa" => ProverId::Bapa,
-        "interactive" => ProverId::Interactive,
-        _ => return None,
-    })
+    fn encode(&self, out: &mut String) -> Vec<usize> {
+        for (key, outcome) in &self.verdicts {
+            out.push_str(&format!(
+                "V\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                escape(&key.config_fingerprint),
+                escape(key.sequent.repr()),
+                match &key.hinted {
+                    None => "-".to_string(),
+                    Some(h) => format!("={}", escape(h.repr())),
+                },
+                escape(&key.var_classes),
+                key.lemma_registered as u8,
+                outcome.proved as u8,
+                outcome.prover.map_or("-", prover_tag),
+                render_counts(&outcome.attempted),
+                render_counts(&outcome.skipped),
+                render_counts(&outcome.budget_aborts),
+                outcome.rescued as u8,
+            ));
+        }
+        for (key, mask) in &self.failures {
+            out.push_str(&format!(
+                "F\t{}\t{}\t{mask}\n",
+                escape(key.sequent.repr()),
+                escape(&key.var_classes),
+            ));
+        }
+        vec![self.verdicts.len(), self.failures.len()]
+    }
 }
 
 fn render_counts(counts: &[(ProverId, usize)]) -> String {
@@ -423,50 +203,23 @@ fn parse_bool(field: &str) -> Option<bool> {
     }
 }
 
-/// Escapes a string field: backslash escapes for the record separator (tab), line
-/// separators and backslash itself, so canonical sequent texts survive the
-/// line-oriented format byte-exactly.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`]; `None` on a dangling or unknown escape (corrupt record).
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-fn truncate(s: &str) -> String {
-    s.chars().take(40).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlane;
+    use crate::persist::{self, LoadError};
+
+    fn load(path: &Path) -> Result<StoreData, LoadError> {
+        persist::load(path, FaultPlane::disabled())
+    }
+
+    fn load_or_warn(path: &Path) -> StoreData {
+        persist::load_or_warn(path, FaultPlane::disabled())
+    }
+
+    fn merge_write(path: &Path, live: StoreData) -> std::io::Result<usize> {
+        persist::merge_write(path, live, FaultPlane::disabled())
+    }
 
     fn sample() -> StoreData {
         let key = |fp: &str, sequent: &str| CacheKey {
@@ -622,9 +375,29 @@ mod tests {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).unwrap();
         }
-        std::fs::write(&path, "not a store\nat all\n").unwrap();
-        let err = load(&path).expect_err("garbage must not parse");
-        assert!(err.to_string().contains("not a proof store"), "{err}");
+        let valid = format!("{MAGIC} v{STORE_VERSION}\nF\ta |- b\t\t5\n## end\t0\t1\n");
+        std::fs::write(&path, &valid).unwrap();
+        assert_eq!(load(&path).expect("the base case parses").failures.len(), 1);
+        for (text, reason) in [
+            ("not a store\nat all\n".to_string(), "not a proof store"),
+            (
+                format!("{valid}F\ta |- b\t\t5\n"),
+                "content after the end trailer",
+            ),
+            (
+                format!("{MAGIC} v{STORE_VERSION}\nX\tmystery\n## end\t0\t0\n"),
+                "unknown record type",
+            ),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            let err = load(&path).expect_err("garbage must not parse");
+            assert!(err.to_string().contains(reason), "{err}");
+            let lenient = load_or_warn(&path);
+            assert!(
+                lenient.verdicts.is_empty() && lenient.failures.is_empty(),
+                "lenient load is empty: {text:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,13 +10,15 @@ RUN_LOG is the stdout of `cargo run --example verify_suite` executed with a
     automatically." line with Y > 0 — the process ran the whole suite to
     completion instead of dying on an injected panic or I/O error.
   * X <= Y, and the suite accounted for every sequent it claimed.
-  * If STORE_DIR is given, `STORE_DIR/proof-store.jahob` (when it exists — a
-    flush storm may legitimately have failed every write) is structurally
-    intact: correct magic header, exactly one `## end` trailer whose record
-    counts match the `V`/`F` records actually present, no content after the
-    trailer, and no partially written (non-tab-separated) record lines. Torn
-    `.tmp.*` debris next to the store is reported but allowed — an injected
-    kill between tmp-write and rename leaves it there by design.
+  * If STORE_DIR is given, `STORE_DIR/proof-store.jahob` and
+    `STORE_DIR/cost-model.jahob` (each when it exists — a flush storm may
+    legitimately have failed every write) are structurally intact: correct
+    magic header, exactly one `## end` trailer whose record counts match the
+    records actually present (`V`/`F` for the store, `C` for the cost model),
+    no content after the trailer, and no partially written (unknown-tag)
+    record lines. Torn `.tmp.*` debris next to the files is reported but
+    allowed — an injected kill between tmp-write and rename leaves it there by
+    design.
 
 Exits non-zero with a diagnostic naming the violated invariant otherwise.
 """
@@ -26,7 +28,6 @@ import re
 import sys
 
 SUITE_LINE = re.compile(r"Across the suite: (\d+) of (\d+) sequents proved automatically\.")
-MAGIC = "jahob-proof-store"
 
 
 def check_log(path: str) -> None:
@@ -46,44 +47,49 @@ def check_log(path: str) -> None:
     print(f"faulted run OK: survived the suite, {proved}/{total} sequents proved")
 
 
-def check_store(store_dir: str) -> None:
-    store = os.path.join(store_dir, "proof-store.jahob")
-    debris = [n for n in sorted(os.listdir(store_dir)) if ".tmp." in n]
-    if debris:
-        print(f"note: {len(debris)} torn tmp file(s) left by kill points (allowed): {debris}")
-    if not os.path.exists(store):
-        print(f"note: {store} does not exist (every faulted flush failed); nothing to parse")
+def check_record_file(path: str, magic: str, tags: list) -> None:
+    """Check one record file: `magic` header, records tagged only with `tags`,
+    and one `## end` trailer carrying a count per tag (in `tags` order) that
+    matches the records present, with nothing after it."""
+    if not os.path.exists(path):
+        print(f"note: {path} does not exist (every faulted flush failed); nothing to parse")
         return
-    with open(store, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f:
         lines = f.read().split("\n")
-    if not lines or not lines[0].startswith(MAGIC + " v"):
-        sys.exit(f"{store}: bad magic header {lines[0][:40]!r}")
-    verdicts = failures = 0
+    if not lines or not lines[0].startswith(magic + " v"):
+        sys.exit(f"{path}: bad magic header {lines[0][:40]!r}")
+    counts = [0] * len(tags)
     trailer = None
     for lineno, line in enumerate(lines[1:], start=2):
         if trailer is not None:
             if line:
-                sys.exit(f"{store}:{lineno}: content after the end trailer (torn write?)")
+                sys.exit(f"{path}:{lineno}: content after the end trailer (torn write?)")
             continue
+        tag, tab, _ = line.partition("\t")
         if line.startswith("## end\t"):
             fields = line.split("\t")
-            if len(fields) != 3:
-                sys.exit(f"{store}:{lineno}: malformed trailer {line!r}")
-            trailer = (int(fields[1]), int(fields[2]))
-        elif line.startswith("V\t"):
-            verdicts += 1
-        elif line.startswith("F\t"):
-            failures += 1
+            if len(fields) != len(tags) + 1:
+                sys.exit(f"{path}:{lineno}: malformed trailer {line!r}")
+            trailer = [int(n) for n in fields[1:]]
+        elif tab and tag in tags:
+            counts[tags.index(tag)] += 1
         elif line:
-            sys.exit(f"{store}:{lineno}: unrecognised record {line[:40]!r} (torn write?)")
+            sys.exit(f"{path}:{lineno}: unrecognised record {line[:40]!r} (torn write?)")
     if trailer is None:
-        sys.exit(f"{store}: missing end trailer (truncated write)")
-    if trailer != (verdicts, failures):
-        sys.exit(
-            f"{store}: trailer claims {trailer[0]} verdicts / {trailer[1]} failures, "
-            f"file holds {verdicts} / {failures}"
-        )
-    print(f"store OK: {verdicts} verdict and {failures} failure records, trailer consistent")
+        sys.exit(f"{path}: missing end trailer (truncated write)")
+    summary = ", ".join(f"{n} {tag}" for tag, n in zip(tags, counts))
+    if trailer != counts:
+        claimed = ", ".join(f"{n} {tag}" for tag, n in zip(tags, trailer))
+        sys.exit(f"{path}: trailer claims {claimed} records, file holds {summary}")
+    print(f"{os.path.basename(path)} OK: {summary} records, trailer consistent")
+
+
+def check_store(store_dir: str) -> None:
+    debris = [n for n in sorted(os.listdir(store_dir)) if ".tmp." in n]
+    if debris:
+        print(f"note: {len(debris)} torn tmp file(s) left by kill points (allowed): {debris}")
+    check_record_file(os.path.join(store_dir, "proof-store.jahob"), "jahob-proof-store", ["V", "F"])
+    check_record_file(os.path.join(store_dir, "cost-model.jahob"), "jahob-cost-model", ["C"])
 
 
 def main() -> None:
