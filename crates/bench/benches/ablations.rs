@@ -5,7 +5,7 @@
 //! dispatcher scaling mechanisms — the work-stealing parallel dispatch and the
 //! canonical-form result cache (§5.2, §5.3).
 use criterion::{criterion_group, criterion_main, Criterion};
-use jahob::batch::fold_method_results;
+use jahob::batch::{assemble_program_batch, fold_method_results};
 use jahob::{suite, verify_task_with, DispatcherConfig, MethodResult, Verifier};
 use jahob_frontend::MethodTask;
 use jahob_provers::{Dispatcher, LemmaLibrary, ObligationBatch, ProverId};
@@ -108,6 +108,27 @@ fn ablations(c: &mut Criterion) {
             b.iter(|| Verifier::with_config(opts.clone()).verify_suite())
         });
     }
+    // What the in-memory cache costs when it answers everything: one `prove_all`
+    // over the whole suite batch with every verdict already cached, against the same
+    // call uncached. Both leave out the frontend and vcgen, so the hot row is the
+    // cost of inlining, canonical keys and cache lookups alone.
+    let lemmas = LemmaLibrary::new();
+    let mut suite_batch = ObligationBatch::new();
+    for entry in suite::full_suite() {
+        suite_batch.append(assemble_program_batch(entry.name, &entry.program, &lemmas).0);
+    }
+    let mut uncached = options(1, false);
+    uncached.route = true;
+    c.bench_function("ablation/suite_prove_all_uncached", |b| {
+        b.iter(|| Dispatcher::with_config(uncached.clone()).prove_all(&suite_batch))
+    });
+    let mut cached = options(1, true);
+    cached.route = true;
+    let hot = Dispatcher::with_config(cached);
+    hot.prove_all(&suite_batch);
+    c.bench_function("ablation/suite_prove_all_hot_cache", |b| {
+        b.iter(|| hot.prove_all(&suite_batch))
+    });
     // The fuel-budget axis: the routed suite with budgets forced off measures what
     // the measured cost model and the MONA/FOL fuel buy over plain static routing
     // (`suite_route_on` above runs with the budgets baseline, i.e. on).

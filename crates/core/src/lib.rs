@@ -233,10 +233,16 @@ fn suite_prover_totals(rows: &[SuiteRow]) -> ProverStats {
     total
 }
 
+/// A duration as Figure 15 prints it: milliseconds, to 0.1 ms.
+fn ms(d: Duration) -> String {
+    format!("{:.1}ms", d.as_secs_f64() * 1e3)
+}
+
 /// Renders suite rows as a Figure 15-style table. Each prover cell shows
 /// `proved/attempted` (with the prover's total time), so the cost of failed cascade
 /// attempts — what per-sequent routing and the failure memo exist to remove — is
-/// visible in the suite table, not just in benches.
+/// visible in the suite table, not just in benches. Times are in milliseconds: most
+/// cells of a suite run take well under a second.
 pub fn render_figure15(rows: &[SuiteRow]) -> String {
     let provers = [
         ProverId::Syntactic,
@@ -249,28 +255,23 @@ pub fn render_figure15(rows: &[SuiteRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:<24}", "Data Structure"));
     for p in provers {
-        out.push_str(&format!("{:>16}", p.display_name()));
+        out.push_str(&format!("{:>18}", p.display_name()));
     }
     out.push_str(&format!(
         "{:>10}{:>10}{:>12}{:>10}\n",
         "Proved", "Total", "Time", "Hit rate"
     ));
-    let subtitle = format!("{:>16}", "(proved/att)").repeat(provers.len());
+    let subtitle = format!("{:>18}", "(proved/att)").repeat(provers.len());
     out.push_str(&format!("{:<24}{subtitle}\n", ""));
     for row in rows {
         out.push_str(&format!("{:<24}", row.name));
         for p in provers {
             match row.per_prover.get(&p) {
                 Some(s) if s.proved > 0 || s.attempted > 0 => {
-                    let cell = format!(
-                        "{}/{} ({:.1}s)",
-                        s.proved,
-                        s.attempted,
-                        s.time.as_secs_f64()
-                    );
-                    out.push_str(&format!("{cell:>16}"));
+                    let cell = format!("{}/{} ({})", s.proved, s.attempted, ms(s.time));
+                    out.push_str(&format!("{cell:>18}"));
                 }
-                _ => out.push_str(&format!("{:>16}", "")),
+                _ => out.push_str(&format!("{:>18}", "")),
             }
         }
         let lookups = row.cache_hits + row.cache_misses;
@@ -280,10 +281,10 @@ pub fn render_figure15(rows: &[SuiteRow]) -> String {
             String::new()
         };
         out.push_str(&format!(
-            "{:>10}{:>10}{:>11.1}s{:>10}\n",
+            "{:>10}{:>10}{:>12}{:>10}\n",
             row.proved_sequents,
             row.total_sequents,
-            row.total_time.as_secs_f64(),
+            ms(row.total_time),
             hit_rate
         ));
     }
@@ -425,6 +426,12 @@ mod tests {
         let table = render_figure15(&rows);
         assert!(table.contains("Association List"));
         assert!(table.contains("Data Structure"));
+        // Times print in ms, and every row is exactly as wide as the header.
+        let lines: Vec<&str> = table.lines().collect();
+        for line in &lines[2..2 + rows.len()] {
+            assert!(line.contains("ms)"), "{line}");
+            assert_eq!(line.len(), lines[0].len(), "misaligned row {line:?}");
+        }
     }
 
     #[test]

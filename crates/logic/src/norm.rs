@@ -21,7 +21,8 @@ use crate::form::{Const, Form, Ident};
 use crate::rewrite::expand_set_membership;
 use crate::sequent::Sequent;
 use crate::simplify::{simplify, strip_comments_deep};
-use crate::subst::{free_vars, substitute, Subst};
+use crate::subst::{free_vars, replacement_free_vars, substitute_avoiding, Subst};
+use std::collections::BTreeSet;
 
 /// Returns `true` if `name` was introduced by the verification-condition generator rather
 /// than written by the developer: desugaring temporaries and snapshots contain a `$`
@@ -85,14 +86,25 @@ pub fn definition_substitution(assumptions: &[Form]) -> Subst {
     // Resolve chains: rewrite every binding by the whole map until nothing changes (the
     // iteration count is bounded by the number of bindings, so this terminates even if a
     // cyclic pair slipped in — cyclic rewrites are simply skipped).
+    // Each binding's free variables are kept so the substitution's replacement free
+    // variables are rebuilt from them only when a binding changes.
     let names: Vec<Ident> = map.keys().cloned().collect();
+    let mut binding_fvs: Vec<BTreeSet<Ident>> = map.values().map(free_vars).collect();
+    let union = |fvs: &[BTreeSet<Ident>]| fvs.iter().flatten().cloned().collect();
+    let mut replacement_fvs: BTreeSet<Ident> = union(&binding_fvs);
     for _ in 0..names.len() {
         let mut changed = false;
-        for v in &names {
-            let current = map[v].clone();
-            let next = substitute(&current, &map);
-            if next != current && !free_vars(&next).contains(v) {
+        for (i, v) in names.iter().enumerate() {
+            let current = &map[v];
+            let next = substitute_avoiding(current, &map, &replacement_fvs);
+            if next == *current {
+                continue;
+            }
+            let next_fvs = free_vars(&next);
+            if !next_fvs.contains(v) {
                 map.insert(v.clone(), next);
+                binding_fvs[i] = next_fvs;
+                replacement_fvs = union(&binding_fvs);
                 changed = true;
             }
         }
@@ -130,9 +142,10 @@ pub fn inline_definitions(sequent: &Sequent) -> Sequent {
     if sub.is_empty() {
         return sequent.clone();
     }
+    let replacement_fvs = replacement_free_vars(&sub);
     let mut assumptions = Vec::new();
     for a in &sequent.assumptions {
-        let inlined = simplify(&substitute(a, &sub));
+        let inlined = simplify(&substitute_avoiding(a, &sub, &replacement_fvs));
         if inlined.is_true() {
             continue;
         }
@@ -140,7 +153,7 @@ pub fn inline_definitions(sequent: &Sequent) -> Sequent {
     }
     Sequent {
         assumptions,
-        goal: simplify(&substitute(&sequent.goal, &sub)),
+        goal: simplify(&substitute_avoiding(&sequent.goal, &sub, &replacement_fvs)),
         labels: sequent.labels.clone(),
     }
 }

@@ -83,62 +83,101 @@ pub fn fresh_name(base: &str, avoid: &BTreeSet<Ident>) -> Ident {
 /// assert_eq!(substitute(&f, &s).to_string(), "3 = y");
 /// ```
 pub fn substitute(form: &Form, sub: &Subst) -> Form {
+    substitute_avoiding(form, sub, &replacement_free_vars(sub))
+}
+
+/// The free variables of the replacement terms of `sub`: the names a bound variable
+/// must be renamed away from when `sub` is applied under its binder.
+pub(crate) fn replacement_free_vars(sub: &Subst) -> BTreeSet<Ident> {
+    let mut acc = BTreeSet::new();
+    for f in sub.values() {
+        acc.extend(free_vars(f));
+    }
+    acc
+}
+
+/// [`substitute`] with the replacement free variables supplied by the caller, who must
+/// pass exactly [`replacement_free_vars`]`(sub)`. Callers that apply one substitution
+/// many times compute that set once instead of once per call.
+pub(crate) fn substitute_avoiding(
+    form: &Form,
+    sub: &Subst,
+    replacement_fvs: &BTreeSet<Ident>,
+) -> Form {
     if sub.is_empty() {
         return form.clone();
     }
-    // Precompute the free variables of the replacement terms once.
-    let mut replacement_fvs: BTreeSet<Ident> = BTreeSet::new();
-    for f in sub.values() {
-        replacement_fvs.extend(free_vars(f));
-    }
-    subst_rec(form, sub, &replacement_fvs)
+    subst_rec(form, sub, replacement_fvs, &mut Vec::new())
 }
 
-fn subst_rec(form: &Form, sub: &Subst, replacement_fvs: &BTreeSet<Ident>) -> Form {
+/// `shadowed` holds the keys of `sub` bound by an enclosing binder, each at most once:
+/// inside their scope those bindings do not apply, so `sub` minus `shadowed` is the
+/// substitution in force.
+fn subst_rec<'s>(
+    form: &Form,
+    sub: &'s Subst,
+    replacement_fvs: &BTreeSet<Ident>,
+    shadowed: &mut Vec<&'s str>,
+) -> Form {
     match form {
-        Form::Var(v) => sub.get(v).cloned().unwrap_or_else(|| form.clone()),
+        Form::Var(v) => match sub.get_key_value(v) {
+            Some((k, replacement)) if !shadowed.contains(&k.as_str()) => replacement.clone(),
+            _ => form.clone(),
+        },
         Form::Const(_) => form.clone(),
         Form::App(f, args) => Form::App(
-            Box::new(subst_rec(f, sub, replacement_fvs)),
+            Box::new(subst_rec(f, sub, replacement_fvs, shadowed)),
             args.iter()
-                .map(|a| subst_rec(a, sub, replacement_fvs))
+                .map(|a| subst_rec(a, sub, replacement_fvs, shadowed))
                 .collect(),
         ),
-        Form::Typed(f, t) => Form::Typed(Box::new(subst_rec(f, sub, replacement_fvs)), t.clone()),
+        Form::Typed(f, t) => Form::Typed(
+            Box::new(subst_rec(f, sub, replacement_fvs, shadowed)),
+            t.clone(),
+        ),
         Form::Binder(binder, vars, body) => {
-            // Remove bindings shadowed by the binder.
-            let mut inner_sub: Subst = sub
-                .iter()
-                .filter(|(k, _)| !vars.iter().any(|(v, _)| v == *k))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            if inner_sub.is_empty() {
+            let depth = shadowed.len();
+            for (v, _) in vars {
+                if let Some((k, _)) = sub.get_key_value(v) {
+                    if !shadowed.contains(&k.as_str()) {
+                        shadowed.push(k);
+                    }
+                }
+            }
+            if shadowed.len() == sub.len() {
+                shadowed.truncate(depth);
                 return form.clone();
             }
             // Rename bound variables that would capture free variables of replacements.
+            // The avoid set is built from the unrenamed body, and only once a variable
+            // actually needs renaming.
+            let mut renamed: Option<Form> = None;
+            let mut avoid: Option<BTreeSet<Ident>> = None;
             let mut new_vars = Vec::with_capacity(vars.len());
-            let mut body = body.as_ref().clone();
-            let mut avoid: BTreeSet<Ident> = replacement_fvs.clone();
-            avoid.extend(free_vars(&body));
             for (v, t) in vars {
                 if replacement_fvs.contains(v) {
-                    let fresh = fresh_name(v, &avoid);
+                    let avoid = avoid.get_or_insert_with(|| {
+                        let mut avoid = replacement_fvs.clone();
+                        avoid.extend(free_vars(body));
+                        avoid
+                    });
+                    let fresh = fresh_name(v, avoid);
                     avoid.insert(fresh.clone());
-                    let mut rename = Subst::new();
-                    rename.insert(v.clone(), Form::Var(fresh.clone()));
-                    body = substitute(&body, &rename);
-                    // A binding for the original name must not leak into the renamed body.
-                    inner_sub.remove(v);
+                    let current = renamed.as_ref().unwrap_or(body);
+                    renamed = Some(substitute_one(current, v, &Form::Var(fresh.clone())));
                     new_vars.push((fresh, t.clone()));
                 } else {
                     new_vars.push((v.clone(), t.clone()));
                 }
             }
-            Form::Binder(
-                *binder,
-                new_vars,
-                Box::new(subst_rec(&body, &inner_sub, replacement_fvs)),
-            )
+            let body = subst_rec(
+                renamed.as_ref().unwrap_or(body),
+                sub,
+                replacement_fvs,
+                shadowed,
+            );
+            shadowed.truncate(depth);
+            Form::Binder(*binder, new_vars, Box::new(body))
         }
     }
 }

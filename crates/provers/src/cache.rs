@@ -15,6 +15,16 @@
 //! cache hit on a proved entry is sound: the hit sequent is equivalent to one a prover
 //! actually discharged.
 //!
+//! Canonicalising a formula is the expensive part of a key (printing, sorting and
+//! hashing the results is about 1 ms of the 35–47 ms the §7 suite's keys cost), and
+//! the obligations of one batch share most of their assumptions — class invariants,
+//! background axioms: the suite's keys cover 1,611 formula instances but only 187
+//! distinct formulas. The dispatcher therefore keys through a batch-scoped memo
+//! (`KeyMemo`) from an inlined formula to its printed canonical form, owned by one
+//! `prove_all` worker and dropped with the batch, so each distinct formula is
+//! canonicalised once per batch and no table outlives it. [`SequentKey::of`] uses no
+//! memo; both paths produce byte-identical keys.
+//!
 //! The cache also has a **negative side**: a set of memoized failed attempts keyed by
 //! `(prover, canonical sequent, variable classification)` (`FailureKey`). The
 //! dispatcher consults it inside the uncached prover cascade, so a prover is never
@@ -77,35 +87,48 @@ fn key_form(form: &Form) -> Form {
     current
 }
 
+/// A batch-scoped memo from an inlined formula to its printed canonical form (`None`
+/// when the formula canonicalises to `True`); see the module docs. It must not outlive
+/// its batch: a longer-lived table would grow without bound in a long-running process.
+pub(crate) type KeyMemo = HashMap<Form, Option<String>>;
+
+/// The printed [`key_form`] of `form`, or `None` when it canonicalises to `True`.
+fn printed_key_form(form: &Form) -> Option<String> {
+    let canonical = key_form(form);
+    (!canonical.is_true()).then(|| canonical.to_string())
+}
+
 impl SequentKey {
     /// Computes the canonical key of `sequent`.
     pub fn of(sequent: &Sequent) -> SequentKey {
-        SequentKey::of_inlined(&inline_definitions(sequent))
+        SequentKey::assemble(&inline_definitions(sequent), printed_key_form)
     }
 
     /// Computes the canonical key of a sequent whose generated-variable definitions
     /// have already been inlined (the dispatcher inlines once and reuses the result
-    /// for both proving and keying).
-    pub(crate) fn of_inlined(inlined: &Sequent) -> SequentKey {
-        let goal = key_form(&inlined.goal);
+    /// for both proving and keying). Canonical forms are looked up in, and added to,
+    /// the batch's `memo`; the key is the one [`SequentKey::of`] computes.
+    pub(crate) fn of_inlined(inlined: &Sequent, memo: &mut KeyMemo) -> SequentKey {
+        SequentKey::assemble(inlined, |form| {
+            if let Some(printed) = memo.get(form) {
+                return printed.clone();
+            }
+            let printed = printed_key_form(form);
+            memo.insert(form.clone(), printed.clone());
+            printed
+        })
+    }
+
+    /// Builds the key of an inlined sequent from `print`, which returns the printed
+    /// canonical form of one formula (`None` for `True`).
+    fn assemble(inlined: &Sequent, mut print: impl FnMut(&Form) -> Option<String>) -> SequentKey {
+        let goal = print(&inlined.goal).unwrap_or_else(|| Form::tt().to_string());
         // Sorting + deduplicating makes the key invariant under assumption order and
         // repetition; assumptions that canonicalise to `True` carry no information.
-        let mut assumptions: Vec<String> = inlined
-            .assumptions
-            .iter()
-            .map(key_form)
-            .filter(|a| !a.is_true())
-            .map(|a| a.to_string())
-            .collect();
+        let mut assumptions: Vec<String> = inlined.assumptions.iter().filter_map(print).collect();
         assumptions.sort();
         assumptions.dedup();
-        let repr = format!("{} |- {}", assumptions.join(" ;; "), goal);
-        let mut hasher = DefaultHasher::new();
-        repr.hash(&mut hasher);
-        SequentKey {
-            hash: hasher.finish(),
-            repr,
-        }
+        SequentKey::from_repr(format!("{} |- {}", assumptions.join(" ;; "), goal))
     }
 
     /// The canonical printed form backing the key (stable within a process run; useful

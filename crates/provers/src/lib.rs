@@ -67,7 +67,7 @@ pub use faults::FaultSpec;
 pub use report::{BatchReport, ProverStats, TaggedReport, VerificationReport};
 pub use store::{store_path, STORE_VERSION};
 
-use cache::{CacheKey, CachedOutcome, FailureKey};
+use cache::{CacheKey, CachedOutcome, FailureKey, KeyMemo};
 use faults::FaultPlane;
 use inst::apply_inst_hints;
 use jahob_logic::norm::{canonicalize, inline_definitions};
@@ -589,8 +589,14 @@ impl Dispatcher {
         let start = Instant::now();
         let entries = batch.entries();
         let threads = self.config.threads.max(1).min(entries.len().max(1));
+        // Each worker keys its obligations through its own batch-scoped memo
+        // (`KeyMemo`), dropped when the batch returns.
         let reports: Vec<VerificationReport> = if threads <= 1 {
-            entries.iter().map(|e| self.prove_entry(e)).collect()
+            let mut memo = KeyMemo::new();
+            entries
+                .iter()
+                .map(|e| self.prove_entry(e, &mut memo))
+                .collect()
         } else {
             let next = AtomicUsize::new(0);
             let slots: Vec<OnceLock<VerificationReport>> =
@@ -599,14 +605,17 @@ impl Dispatcher {
                 for _ in 0..threads {
                     let next = &next;
                     let slots = &slots;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(entry) = entries.get(i) else {
-                            break;
-                        };
-                        slots[i]
-                            .set(self.prove_entry(entry))
-                            .expect("obligation indices are claimed exactly once");
+                    scope.spawn(move || {
+                        let mut memo = KeyMemo::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(entry) = entries.get(i) else {
+                                break;
+                            };
+                            slots[i]
+                                .set(self.prove_entry(entry, &mut memo))
+                                .expect("obligation indices are claimed exactly once");
+                        }
                     });
                 }
             });
@@ -638,9 +647,9 @@ impl Dispatcher {
     /// Proves one batch entry, stamping the report with the obligation's wall time (so
     /// per-method folds sum to a meaningful method time even inside a program-wide
     /// batch).
-    fn prove_entry(&self, entry: &BatchEntry) -> VerificationReport {
+    fn prove_entry(&self, entry: &BatchEntry, memo: &mut KeyMemo) -> VerificationReport {
         let start = Instant::now();
-        let mut report = self.prove_one_inner(&entry.obligation, &entry.context);
+        let mut report = self.prove_one_inner(&entry.obligation, &entry.context, memo);
         report.total_time = start.elapsed();
         report
     }
@@ -653,7 +662,7 @@ impl Dispatcher {
         obligation: &ProofObligation,
         context: &ProverContext,
     ) -> VerificationReport {
-        let report = self.prove_one_inner(obligation, context);
+        let report = self.prove_one_inner(obligation, context, &mut KeyMemo::new());
         self.shared.model.commit();
         report
     }
@@ -662,6 +671,7 @@ impl Dispatcher {
         &self,
         obligation: &ProofObligation,
         context: &ProverContext,
+        key_memo: &mut KeyMemo,
     ) -> VerificationReport {
         // §5.3: before any prover runs, substitute the definitions of the intermediate
         // variables introduced by the VC generator (assignment temporaries, pre-state
@@ -691,8 +701,8 @@ impl Dispatcher {
         // The canonical sequent keys and variable classifications are computed once
         // and shared between the verdict cache key and the failure memo of the
         // cascade below.
-        let full_key = SequentKey::of_inlined(&full);
-        let hinted_key = hinted.as_ref().map(SequentKey::of_inlined);
+        let full_key = SequentKey::of_inlined(&full, key_memo);
+        let hinted_key = hinted.as_ref().map(|h| SequentKey::of_inlined(h, key_memo));
         let full_classes = var_classes(context, &full);
         let hinted_classes = hinted.as_ref().map(|h| var_classes(context, h));
         let key = CacheKey {

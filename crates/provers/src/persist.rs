@@ -19,8 +19,9 @@
 //!
 //! **Merge-writing.** [`merge_write`] re-reads the file, forms the union with the
 //! live records under the file's merge rule, writes it to a uniquely named temp
-//! file in the same directory, fsyncs, and atomically renames it over the file.
-//! Readers see the old file or the new one, whole, never a torn one.
+//! file in the same directory, fsyncs, atomically renames it over the file, and
+//! (on Unix) fsyncs the directory so the rename itself survives a crash. Readers
+//! see the old file or the new one, whole, never a torn one.
 //!
 //! What differs between the two files is only their [`Records`] codec: how one
 //! record line decodes, how on-disk and live records merge, and how records encode.
@@ -248,13 +249,26 @@ pub(crate) fn merge_write<R: Records>(
     // The `torn` kill point: the injected form returns the error *without* cleaning
     // up, so the torture harness observes exactly the state of a crash here.
     faults.io_op(file.target, IoOp::Rename)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(counts[0]),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    if let Err(e) = std::fs::rename(&tmp, path) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
+    sync_parent_dir(path)?;
+    Ok(counts[0])
+}
+
+/// Makes a completed rename into `path` durable: until its directory entry reaches
+/// the disk, a crash can bring back the previous file (or none). Unix only: elsewhere
+/// a directory cannot be opened as a file to sync it.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// The stable serialization tag of a prover (display names are presentation, not
